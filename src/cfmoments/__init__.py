@@ -33,7 +33,6 @@ from .hankel import (
     HankelMatrix,
     PsdResult,
     ScanReport,
-    char_poly,
     det_exact,
     hankel_matrix,
     psd_check,
@@ -72,7 +71,6 @@ __all__ = [
     "TwoPeriodicParams",
     "atom_ratios",
     "binet_measure",
-    "char_poly",
     "classify_positivity",
     "collect_atoms",
     "convergents",

@@ -4,7 +4,7 @@ positivity classification, Hankel scans and Fibonacci-ratio checks.
 All rational inputs are parsed exactly ('7/2', '2', '0.5'); all exact values
 are emitted as strings, never as binary floats.  Exit codes: 0 success (and
 all identities matched), 1 a verification identity failed, 2 invalid
-arguments.
+arguments, 3 an internal invariant failed (a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import io
 import json
 import shlex
 import sys
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from .cfrac import (
@@ -23,7 +22,7 @@ from .cfrac import (
     convergents,
     generalized_fibonacci,
 )
-from .exactnum import DomainError, QuadElem, decimal_string, parse_rational
+from .exactnum import DomainError, InvariantError, decimal_string, parse_rational
 from .hankel import scan_kperiodic
 from .measures import binet_measure, classify_positivity, moment_measure
 
@@ -32,8 +31,6 @@ Emission = Tuple[Dict[str, Any], List[Row], Dict[str, Any], int]
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, (Fraction, QuadElem)):
-        return str(value)
     return str(value)
 
 
@@ -370,6 +367,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
     text = _render(args.format, meta, rows, verdict)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

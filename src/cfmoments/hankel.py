@@ -3,18 +3,21 @@
 Determinants are computed fraction-free: denominators are cleared row by
 row, Bareiss elimination runs over plain integers, and the single division
 at the end restores the rational value.  Positive semidefiniteness is decided
-through the characteristic polynomial (Faddeev-LeVerrier over Fractions): a
-symmetric rational matrix is PSD exactly when the elementary-symmetric
-coefficients (-1)^k * c_k of det(xI - M) are all nonnegative.  Leading
-principal minors alone would not suffice on singular matrices, so they are
-kept only as a test oracle.
+by one congruence (LDL-style) elimination over Fractions, O(n^3): a negative
+pivot, or a zero diagonal beside a nonzero off-diagonal entry, yields a
+rational witness v with v'Mv < 0, re-verified before it is returned; when no
+witness exists the matrix is PSD.  A PSD verdict is cross-checked against the
+Bareiss determinant: the product of the positive pivots must equal det(M) at
+full rank, and det(M) must be 0 when the reduced block vanished early.
+Leading principal minors alone would not suffice on singular matrices, so
+they are kept only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .cfrac import kperiodic_convergents
@@ -87,54 +90,17 @@ def det_exact(matrix: Matrix) -> Fraction:
     return Fraction(sign * work[n - 1][n - 1], den_product)
 
 
-def char_poly(matrix: Matrix) -> List[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(xI - M) = x^n + c1*x^(n-1) + ... + cn."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise DomainError("matrix must be square")
-    a = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [Fraction(1)]
-    aux = [[Fraction(0)] * n for _ in range(n)]  # M_0 = 0
-    for k in range(1, n + 1):
-        # M_k = A*M_{k-1} + c_{k-1}*I ; c_k = -trace(A*M_k)/k
-        m_k = _mat_mul(a, aux)
-        for i in range(n):
-            m_k[i][i] += coeffs[k - 1]
-        prod = _mat_mul(a, m_k)
-        trace = sum((prod[i][i] for i in range(n)), Fraction(0))
-        coeffs.append(-trace / k)
-        aux = m_k
-    return coeffs
-
-
-def _mat_mul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        for k in range(n):
-            f = row[k]
-            if f == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(n):
-                orow[j] += f * brow[j]
-    return out
-
-
 @dataclass(frozen=True)
 class PsdResult:
     """Exact PSD verdict with a certificate when the answer is negative.
 
-    ``failing_coefficient`` is the first k with (-1)^k * c_k < 0 in the
-    characteristic polynomial; ``witness`` is a rational vector v with
-    v' M v < 0, found by congruence elimination and re-verified before being
-    returned.
+    ``witness`` is a rational vector v with v' M v < 0, found by congruence
+    elimination and re-verified before being returned; it is None exactly
+    when the matrix is PSD.  A PSD verdict has passed the determinant
+    cross-check described in the module docstring.
     """
 
     is_psd: bool
-    failing_coefficient: Optional[int] = None
     witness: Optional[Tuple[Fraction, ...]] = None
 
 
@@ -142,27 +108,25 @@ def psd_check(matrix: Matrix) -> PsdResult:
     """Decide positive semidefiniteness of a symmetric rational matrix exactly."""
     n = len(matrix)
     rows = [[Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in rows):
+        raise DomainError("matrix must be square")
     for i in range(n):
         for j in range(i):
             if rows[i][j] != rows[j][i]:
                 raise DomainError("psd_check requires a symmetric matrix")
-    coeffs = char_poly(rows)
-    failing = None
-    for k in range(1, n + 1):
-        elementary = coeffs[k] if k % 2 == 0 else -coeffs[k]
-        if elementary < 0:
-            failing = k
-            break
-    if failing is None:
-        return PsdResult(is_psd=True)
-    witness = _negative_witness(rows)
-    if witness is None:
+    witness, pivots = _negative_witness(rows)
+    if witness is not None:
+        if _quadratic_form(rows, witness) >= 0:
+            raise InvariantError("witness failed to certify v'Mv < 0")
+        return PsdResult(is_psd=False, witness=witness)
+    # The elimination is a congruence by a unit-determinant transform, so
+    # det(M) is the product of its pivots, or 0 if the block vanished early.
+    expected = prod(pivots, start=Fraction(1)) if len(pivots) == n else Fraction(0)
+    if det_exact(rows) != expected:
         raise InvariantError(
-            "characteristic-polynomial test and congruence elimination disagree"
+            "congruence pivots and Bareiss determinant disagree on a PSD verdict"
         )
-    if _quadratic_form(rows, witness) >= 0:
-        raise InvariantError("witness failed to certify v'Mv < 0")
-    return PsdResult(is_psd=False, failing_coefficient=failing, witness=witness)
+    return PsdResult(is_psd=True)
 
 
 def _quadratic_form(rows: List[List[Fraction]], v: Tuple[Fraction, ...]) -> Fraction:
@@ -172,12 +136,16 @@ def _quadratic_form(rows: List[List[Fraction]], v: Tuple[Fraction, ...]) -> Frac
     )
 
 
-def _negative_witness(rows: List[List[Fraction]]) -> Optional[Tuple[Fraction, ...]]:
+def _negative_witness(
+    rows: List[List[Fraction]],
+) -> Tuple[Optional[Tuple[Fraction, ...]], List[Fraction]]:
     """A vector v with v'Mv < 0 via congruence (LDL-style) elimination.
 
     Maintains the basis vectors of the reduced block; a negative diagonal
     pivot maps straight back to a witness, and an all-zero diagonal with a
-    nonzero off-diagonal entry yields one from a +/- pair.
+    nonzero off-diagonal entry yields one from a +/- pair.  Returns the
+    witness (None when the matrix is PSD) and the positive pivots taken;
+    fewer than n pivots without a witness means the reduced block vanished.
     """
     n = len(rows)
     c = [row[:] for row in rows]
@@ -185,11 +153,12 @@ def _negative_witness(rows: List[List[Fraction]]) -> Optional[Tuple[Fraction, ..
         [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
     ]
     active = list(range(n))
+    pivots: List[Fraction] = []
     while active:
         pivot = None
         for i in active:
             if c[i][i] < 0:
-                return tuple(basis[i])
+                return tuple(basis[i]), pivots
             if c[i][i] > 0 and pivot is None:
                 pivot = i
         if pivot is None:
@@ -197,11 +166,13 @@ def _negative_witness(rows: List[List[Fraction]]) -> Optional[Tuple[Fraction, ..
                 for j in active:
                     if i < j and c[i][j] != 0:
                         sign = 1 if c[i][j] > 0 else -1
-                        return tuple(
-                            basis[i][t] - sign * basis[j][t] for t in range(n)
+                        return (
+                            tuple(basis[i][t] - sign * basis[j][t] for t in range(n)),
+                            pivots,
                         )
-            return None  # reduced block vanished: matrix was PSD after all
+            return None, pivots  # reduced block vanished: PSD and singular
         d = c[pivot][pivot]
+        pivots.append(d)
         active.remove(pivot)
         ratios = {j: c[pivot][j] / d for j in active}
         for j in active:
@@ -217,7 +188,7 @@ def _negative_witness(rows: List[List[Fraction]]) -> Optional[Tuple[Fraction, ..
         for j in active:
             c[pivot][j] = Fraction(0)
             c[j][pivot] = Fraction(0)
-    return None
+    return None, pivots
 
 
 @dataclass(frozen=True)

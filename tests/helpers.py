@@ -39,6 +39,41 @@ def psd_by_principal_minors(rows: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
+def char_poly(rows: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """Faddeev-LeVerrier: [1, c1, ..., cn] of det(xI - M) = x^n + c1*x^(n-1) + ... + cn."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    coeffs = [Fraction(1)]
+    aux = [[Fraction(0)] * n for _ in range(n)]  # M_0 = 0
+    for k in range(1, n + 1):
+        # M_k = A*M_{k-1} + c_{k-1}*I ; c_k = -trace(A*M_k)/k
+        m_k = _mat_mul(a, aux)
+        for i in range(n):
+            m_k[i][i] += coeffs[k - 1]
+        product = _mat_mul(a, m_k)
+        trace = sum((product[i][i] for i in range(n)), Fraction(0))
+        coeffs.append(-trace / k)
+        aux = m_k
+    return coeffs
+
+
+def _mat_mul(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if a[i][k] != 0:
+                for j in range(n):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def psd_by_char_poly(rows: Sequence[Sequence[Fraction]]) -> bool:
+    """A symmetric M is PSD iff every (-1)^k * c_k of det(xI - M) is >= 0."""
+    coeffs = char_poly(rows)
+    return all((-1) ** k * c >= 0 for k, c in enumerate(coeffs))
+
+
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 

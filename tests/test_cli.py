@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from cfmoments.cli import main
+from cfmoments.exactnum import InvariantError
 
 
 def run(capsys, *argv):
@@ -154,6 +155,18 @@ def test_hankel_scan_degenerate_single_order(capsys):
     assert payload["rows"] == [
         {"order": 0, "determinant": "0", "psd": True, "decimal": "0.000000000000"}
     ]
+
+
+def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
+    def broken(*args):
+        raise InvariantError("pivots and determinant disagree")
+
+    monkeypatch.setattr("cfmoments.cli.scan_kperiodic", broken)
+    code, out, err = run(capsys, "hankel-scan", "--periods", "1,1,2", "--max-order", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal invariant failed: pivots and determinant disagree\n"
+    assert "Traceback" not in err
 
 
 def test_fibonacci_checks_pass(capsys):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmoments.cfrac import TwoPeriodicParams, convergents
-from cfmoments.exactnum import DomainError
+from cfmoments.exactnum import DomainError, InvariantError
 from cfmoments.hankel import (
-    char_poly,
     det_exact,
     hankel_matrix,
     psd_check,
@@ -19,7 +18,9 @@ from cfmoments.hankel import (
 from cfmoments.measures import classify_positivity
 
 from helpers import (
+    char_poly,
     cofactor_det,
+    psd_by_char_poly,
     psd_by_principal_minors,
     random_gram,
     random_symmetric,
@@ -82,15 +83,53 @@ def test_char_poly_of_identity():
     assert char_poly(eye) == [1, -3, 3, -1]
 
 
+def _quadratic_form(rows, v):
+    n = len(rows)
+    return sum(v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n))
+
+
 def test_swap_matrix_is_not_psd():
     swap = [[F(0), F(1)], [F(1), F(0)]]
     assert char_poly(swap) == [1, 0, -1]
+    assert not psd_by_char_poly(swap)
     result = psd_check(swap)
     assert not result.is_psd
-    assert result.failing_coefficient == 2
-    v = result.witness
-    total = sum(v[i] * swap[i][j] * v[j] for i in range(2) for j in range(2))
-    assert total < 0
+    assert _quadratic_form(swap, result.witness) < 0
+
+
+@pytest.mark.parametrize(
+    "rows, is_psd",
+    [
+        ([[F(0)] * 3 for _ in range(3)], True),
+        ([[F(0), F(0)], [F(0), F(1)]], True),
+        ([[F(1), F(1)], [F(1), F(1)]], True),
+        ([[F(0), F(0), F(0)], [F(0), F(2), F(1)], [F(0), F(1), F(1)]], True),
+        ([[F(0), F(1)], [F(1), F(1)]], False),
+        ([[F(1), F(1), F(0)], [F(1), F(1), F(1)], [F(0), F(1), F(1)]], False),
+    ],
+)
+def test_zero_pivot_cases(rows, is_psd):
+    result = psd_check(rows)
+    assert result.is_psd == is_psd
+    assert psd_by_char_poly(rows) == is_psd
+    assert psd_by_principal_minors(rows) == is_psd
+    if is_psd:
+        assert result.witness is None
+    else:
+        assert _quadratic_form(rows, result.witness) < 0
+
+
+@pytest.mark.parametrize(
+    "rows, wrong_det",
+    [
+        ([[F(1), F(0)], [F(0), F(1)]], F(2)),  # full rank: pivot product is 1
+        ([[F(1), F(1)], [F(1), F(1)]], F(1)),  # block vanished: det must be 0
+    ],
+)
+def test_psd_verdict_is_cross_checked_against_det(monkeypatch, rows, wrong_det):
+    monkeypatch.setattr("cfmoments.hankel.det_exact", lambda matrix: wrong_det)
+    with pytest.raises(InvariantError):
+        psd_check(rows)
 
 
 def test_identity_is_psd():
@@ -103,6 +142,11 @@ def test_psd_requires_symmetry():
         psd_check([[F(0), F(1)], [F(2), F(0)]])
 
 
+def test_psd_requires_square():
+    with pytest.raises(DomainError):
+        psd_check([[F(1), F(0)]])
+
+
 def test_positive_measure_hankels_are_psd():
     params = TwoPeriodicParams(1, 1, 1)
     assert classify_positivity(params).is_positive
@@ -113,12 +157,15 @@ def test_positive_measure_hankels_are_psd():
         assert psd_by_principal_minors(mat.entries)
 
 
-@given(st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False),
+@given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False),
        st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_psd_matches_principal_minor_enumeration(n, rng, make_gram):
+    # random_gram draws 1..n rows, so most Gram inputs are rank-deficient
     rows = random_gram(rng, n) if make_gram else random_symmetric(rng, n)
-    assert psd_check(rows).is_psd == psd_by_principal_minors(rows)
+    verdict = psd_check(rows).is_psd
+    assert verdict == psd_by_principal_minors(rows)
+    assert verdict == psd_by_char_poly(rows)
 
 
 @given(st.randoms(use_true_random=False))
@@ -183,6 +230,23 @@ def test_scan_monotonicity_on_random_periods(periods, w):
             assert not seen_failure, "psd verdict recovered after a failure"
 
 
+@given(
+    st.lists(
+        st.fractions(min_value=F(1, 2), max_value=3, max_denominator=4),
+        min_size=1,
+        max_size=4,
+    ),
+    st.fractions(min_value=0, max_value=2, max_denominator=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_scan_verdicts_match_oracles(periods, w):
+    report = scan_kperiodic(periods, w, 5)
+    for order, verdict in enumerate(report.psd):
+        rows = hankel_matrix(report.sequence, order).entries
+        assert verdict == psd_by_char_poly(rows), (order, rows)
+        assert verdict == psd_by_principal_minors(rows), (order, rows)
+
+
 def test_scan_zero_seed_single_order():
     report = scan_kperiodic([1], 0, 0)
     assert report.sequence == (0,)
@@ -207,9 +271,4 @@ def test_scan_witnesses_certify_failures():
         if result.is_psd:
             continue
         mat = hankel_matrix(report.sequence, order)
-        v = result.witness
-        n = order + 1
-        value = sum(
-            v[i] * mat.entries[i][j] * v[j] for i in range(n) for j in range(n)
-        )
-        assert value < 0
+        assert _quadratic_form(mat.entries, result.witness) < 0
