@@ -8,13 +8,22 @@ nonnegative tail seed w defines the truncation sequence
 Each s_n is an exact rational N_n/D_n; the denominators obey a three-term
 recurrence whose characteristic roots live in Q(sqrt(a^2*b^2 + 4*a*b)), which
 is where the closed forms and limit values are computed.
+
+Every periodic fraction, with any period list c_0..c_{k-1}, is evaluated by
+one bottom-up recurrence (the fundamental recurrence for convergents): with
+M_j = [[0, 1], [1, c_j]] and P_n = M_0 ... M_{n-1},
+
+    N_n = P00*w + P01,  D_n = P10*w + P11,  s_n = N_n / D_n,
+
+so all n_max + 1 truncations come from one linear pass.  P_n is carried as
+an integer matrix over a running common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import (
     DomainError,
@@ -81,25 +90,44 @@ class AtomRatios:
 def convergents(params: TwoPeriodicParams, n_max: int) -> List[Convergent]:
     """Exact convergents (N_n, D_n, s_n) for n = 0..n_max.
 
-    N and D follow the coupled two-step recurrences with N0 = w, N1 = 1,
-    D0 = 1, D1 = a + w.  Denominators are provably positive; a nonpositive
-    one would mean corrupted state and raises InvariantError.
+    N and D come from the period-map recurrence of the module docstring with
+    the period list [a, b], so N0 = w, N1 = 1, D0 = 1, D1 = a + w.
+    Denominators are provably positive; a nonpositive one would mean
+    corrupted state and raises InvariantError.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    a, b, w = params.a, params.b, params.w
-    nums = [w, Fraction(1)]
-    dens = [Fraction(1), a + w]
-    ab = a * b
-    for n in range(n_max - 1):
-        nums.append(b * dens[n] + nums[n])
-        dens.append(ab * dens[n] + a * nums[n] + dens[n])
-    out = []
+    return [
+        Convergent(Fraction(num, scale), Fraction(den, scale), Fraction(num, den))
+        for num, den, scale in _period_map([params.a, params.b], params.w, n_max)
+    ]
+
+
+def _period_map(
+    cycle: Sequence[Fraction], seed: Fraction, n_max: int
+) -> Iterator[Tuple[int, int, int]]:
+    """Integers (A_n, B_n, L_n) with N_n = A_n/L_n and D_n = B_n/L_n, n = 0..n_max.
+
+    Each M_j is scaled by the denominator v_j of c_j = u_j/v_j into the
+    integer matrix [[0, v_j], [v_j, u_j]], so the running product Q equals
+    (v_0 ... v_{n-1}) * P_n; with w = p/q, L_n = q * v_0 ... v_{n-1}.
+    """
+    steps = [(c.numerator, c.denominator) for c in cycle]
+    k = len(steps)
+    p, q = seed.numerator, seed.denominator
+    q00, q01, q10, q11 = 1, 0, 0, 1
+    scale = q
     for n in range(n_max + 1):
-        if dens[n] <= 0:
-            raise InvariantError(f"denominator D_{n} = {dens[n]} is not positive")
-        out.append(Convergent(nums[n], dens[n], nums[n] / dens[n]))
-    return out
+        num = q00 * p + q01 * q
+        den = q10 * p + q11 * q
+        if den <= 0:
+            raise InvariantError(
+                f"denominator D_{n} = {Fraction(den, scale)} is not positive"
+            )
+        yield num, den, scale
+        u, v = steps[n % k]
+        q00, q01, q10, q11 = q01 * v, q00 * v + q01 * u, q11 * v, q10 * v + q11 * u
+        scale *= v
 
 
 def _contraction(params: TwoPeriodicParams, fld: QuadField) -> QuadElem:
@@ -194,8 +222,9 @@ def kperiodic_convergents(
     """Truncations of the continued fraction whose denominators cycle through
     ``periods``, seeded with +w at the innermost level.
 
-    Evaluated top-down by folding from the innermost term; for a two-element
-    period list this coincides exactly with :func:`convergents`.
+    Evaluated bottom-up by the period-map recurrence of the module docstring,
+    in one pass linear in n_max; for a two-element period list this is
+    exactly :func:`convergents`.
     """
     cycle = [Fraction(p) for p in periods]
     if not cycle:
@@ -207,14 +236,4 @@ def kperiodic_convergents(
         raise ParameterError(f"seed w must be nonnegative (w >= 0), got {seed}")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    k = len(cycle)
-    values = []
-    for n in range(n_max + 1):
-        acc = seed
-        for j in range(n, 0, -1):
-            den = cycle[(j - 1) % k] + acc
-            if den <= 0:
-                raise InvariantError(f"nonpositive partial denominator at depth {j}")
-            acc = 1 / den
-        values.append(acc)
-    return values
+    return [Fraction(num, den) for num, den, _ in _period_map(cycle, seed, n_max)]

@@ -4,7 +4,8 @@ positivity classification, Hankel scans and Fibonacci-ratio checks.
 All rational inputs are parsed exactly ('7/2', '2', '0.5'); all exact values
 are emitted as strings, never as binary floats.  Exit codes: 0 success (and
 all identities matched), 1 a verification identity failed, 2 invalid
-arguments, 3 an internal invariant failed (a bug, never a verdict).
+arguments, 3 an internal invariant failed (a bug, never a verdict).  Exact
+values are emitted in full however many digits they have.
 """
 
 from __future__ import annotations
@@ -351,6 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # Exact output stays exact: Python's int-to-str digit limit (3.11+, some
+    # 3.10 patch releases) would end huge values in a ValueError.  The limit
+    # is lifted for this call only, so in-process callers keep their own.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(argv: Optional[List[str]]) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         expanded = _expand_args_file(raw)

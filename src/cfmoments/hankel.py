@@ -129,7 +129,7 @@ def psd_check(matrix: Matrix) -> PsdResult:
     return PsdResult(is_psd=True)
 
 
-def _quadratic_form(rows: List[List[Fraction]], v: Tuple[Fraction, ...]) -> Fraction:
+def _quadratic_form(rows: Matrix, v: Tuple[Fraction, ...]) -> Fraction:
     n = len(rows)
     return sum(
         (v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n)), Fraction(0)
@@ -212,7 +212,10 @@ def scan_kperiodic(
     sequence, through the given order.
 
     Reports what exact computation finds; it asserts nothing about where (or
-    whether) definiteness fails.
+    whether) definiteness fails.  H_k is the leading principal block of every
+    later H_m, so after the first non-PSD order each later order is decided by
+    the first witness padded with zeros, re-verified against that order's
+    matrix, instead of a fresh elimination.
     """
     if max_order < 0:
         raise DomainError("max_order must be >= 0")
@@ -224,7 +227,13 @@ def scan_kperiodic(
     for order in range(max_order + 1):
         mat = hankel_matrix(seq, order)
         dets.append(mat.det())
-        res = mat.psd()
+        if first_bad is None:
+            res = mat.psd()
+        else:
+            padded = results[first_bad].witness + (Fraction(0),) * (order - first_bad)
+            if _quadratic_form(mat.entries, padded) >= 0:
+                raise InvariantError("padded witness failed to certify v'Mv < 0")
+            res = PsdResult(is_psd=False, witness=padded)
         results.append(res)
         verdicts.append(res.is_psd)
         if not res.is_psd and first_bad is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -72,6 +72,47 @@ def psd_by_char_poly(rows: Sequence[Sequence[Fraction]]) -> bool:
     """A symmetric M is PSD iff every (-1)^k * c_k of det(xI - M) is >= 0."""
     coeffs = char_poly(rows)
     return all((-1) ** k * c >= 0 for k, c in enumerate(coeffs))
+
+
+def kperiodic_by_fold(
+    periods: Sequence[Fraction], w: Fraction, n_max: int
+) -> List[Fraction]:
+    """s_0..s_n_max folded top-down from the innermost term, afresh for every n."""
+    cycle = [Fraction(p) for p in periods]
+    values = []
+    for n in range(n_max + 1):
+        acc = Fraction(w)
+        for j in range(n, 0, -1):
+            acc = 1 / (cycle[(j - 1) % len(cycle)] + acc)
+        values.append(acc)
+    return values
+
+
+def kperiodic_bottom_up(
+    periods: Sequence[Fraction], w: Fraction, n_max: int
+) -> List[Fraction]:
+    """s_n = (P00*w + P01) / (P10*w + P11) with P_n = M_0 ... M_{n-1} over Fractions."""
+    p00, p01, p10, p11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    values = []
+    for n in range(n_max + 1):
+        values.append((p00 * w + p01) / (p10 * w + p11))
+        c = Fraction(periods[n % len(periods)])
+        p00, p01, p10, p11 = p01, p00 + c * p01, p11, p10 + c * p11
+    return values
+
+
+def convergents_by_two_step(
+    params: TwoPeriodicParams, n_max: int
+) -> List[Tuple[Fraction, Fraction]]:
+    """(N_n, D_n) by the coupled two-step recurrences N_{n+2} = b*D_n + N_n,
+    D_{n+2} = ab*D_n + a*N_n + D_n from N0 = w, N1 = 1, D0 = 1, D1 = a + w."""
+    a, b, w = params.a, params.b, params.w
+    nums = [w, Fraction(1)]
+    dens = [Fraction(1), a + w]
+    for n in range(n_max - 1):
+        nums.append(b * dens[n] + nums[n])
+        dens.append(a * b * dens[n] + a * nums[n] + dens[n])
+    return list(zip(nums, dens))[: n_max + 1]
 
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

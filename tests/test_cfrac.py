@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfmoments.cfrac import (
     ParameterError,
     TwoPeriodicParams,
+    _period_map,
     atom_ratios,
     convergents,
     denominator_closed_form,
@@ -14,9 +15,21 @@ from cfmoments.cfrac import (
     kperiodic_convergents,
     limit_value,
 )
-from cfmoments.exactnum import DomainError, QuadField
+from cfmoments.exactnum import DomainError, InvariantError, QuadField
 
-from helpers import fib, param_triples, period_fractions, seed_fractions
+from helpers import (
+    convergents_by_two_step,
+    fib,
+    kperiodic_bottom_up,
+    kperiodic_by_fold,
+    param_triples,
+    period_fractions,
+    seed_fractions,
+)
+
+# differential draws: positive periods and nonnegative seeds, denominators <= 7
+oracle_periods = st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7)
+oracle_seeds = st.fractions(min_value=0, max_value=3, max_denominator=7)
 
 GRID = [
     TwoPeriodicParams(1, 1, 0),
@@ -146,6 +159,41 @@ def test_kperiodic_matches_two_periodic(params, n_max):
     direct = [c.value for c in convergents(params, n_max)]
     folded = kperiodic_convergents([params.a, params.b], params.w, n_max)
     assert folded == direct
+
+
+@given(
+    st.lists(oracle_periods, min_size=1, max_size=5),
+    oracle_seeds,
+    st.integers(min_value=0, max_value=60),
+)
+@example([F(1, 7)], F(0), 0)
+@example([F(3), F(5, 7)], F(0), 1)
+@settings(max_examples=80, deadline=None)
+def test_kperiodic_matches_top_down_fold(periods, w, n_max):
+    assert kperiodic_convergents(periods, w, n_max) == kperiodic_by_fold(periods, w, n_max)
+
+
+@given(oracle_periods, oracle_periods, oracle_seeds, st.integers(min_value=0, max_value=60))
+@example(F(1), F(1), F(0), 0)
+@example(F(2, 7), F(5), F(0), 1)
+@settings(max_examples=80, deadline=None)
+def test_convergents_match_two_step_recurrence(a, b, w, n_max):
+    params = TwoPeriodicParams(a, b, w)
+    run = convergents(params, n_max)
+    expected = convergents_by_two_step(params, n_max)
+    assert [(c.numerator, c.denominator) for c in run] == expected
+    assert [c.value for c in run] == [num / den for num, den in expected]
+
+
+def test_kperiodic_long_run_matches_bottom_up_fractions():
+    periods = [F(1), F(1), F(2)]
+    assert kperiodic_convergents(periods, 1, 800) == kperiodic_bottom_up(periods, F(1), 800)
+
+
+def test_nonpositive_denominator_raises_invariant_error():
+    # unreachable through the validated entry points: a negative seed makes D_1 = -1
+    with pytest.raises(InvariantError, match="D_1 = -1 is not positive"):
+        list(_period_map([F(1)], F(-2), 1))
 
 
 def test_kperiodic_period_one_gives_fibonacci_ratios():

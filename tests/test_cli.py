@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -167,6 +168,39 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
     assert out == ""
     assert err == "error: internal invariant failed: pivots and determinant disagree\n"
     assert "Traceback" not in err
+
+
+def _int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_convergents_emit_integers_past_the_int_str_digit_limit(capsys):
+    # n_max 2150 is the smallest at a = b = 100 whose D_n passes 4,300 digits
+    before = _int_str_limit()
+    code, out, err = run(
+        capsys, "convergents", "--a", "100", "--b", "100",
+        "--n-max", "2150", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2151
+    assert len(rows[-1]["denominator"]) > 4300
+    assert _int_str_limit() == before
+
+
+def test_verify_emits_tail_bounds_past_the_int_str_digit_limit(capsys):
+    # truncate 59 is the smallest K at n_max 40 whose tail bound passes 4,300 digits
+    before = _int_str_limit()
+    code, out, err = run(
+        capsys, "verify", "--a", "7/2", "--b", "7", "--w", "2",
+        "--n-max", "40", "--truncate", "59", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"]["all_match"] is True
+    assert all(row["within_bound"] for row in payload["rows"])
+    assert max(len(row["tail_bound"]) for row in payload["rows"]) > 4300
+    assert _int_str_limit() == before
 
 
 def test_fibonacci_checks_pass(capsys):

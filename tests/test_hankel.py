@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cfmoments.cfrac import TwoPeriodicParams, convergents
 from cfmoments.exactnum import DomainError, InvariantError
 from cfmoments.hankel import (
+    PsdResult,
     det_exact,
     hankel_matrix,
     psd_check,
@@ -245,6 +246,10 @@ def test_scan_verdicts_match_oracles(periods, w):
         rows = hankel_matrix(report.sequence, order).entries
         assert verdict == psd_by_char_poly(rows), (order, rows)
         assert verdict == psd_by_principal_minors(rows), (order, rows)
+        if not verdict:
+            assert _quadratic_form(rows, report.results[order].witness) < 0
+        if report.first_not_psd is not None and order > report.first_not_psd:
+            assert report.results[order].witness == _padded_first_witness(report, order)
 
 
 def test_scan_zero_seed_single_order():
@@ -265,10 +270,29 @@ def test_scan_consistent_with_positivity_classifier():
             assert not report.psd[order]
 
 
+def _padded_first_witness(report, order):
+    first = report.results[report.first_not_psd].witness
+    return first + (F(0),) * (order - report.first_not_psd)
+
+
 def test_scan_witnesses_certify_failures():
-    report = scan_kperiodic([1, 1, 2], 1, 5)
+    report = scan_kperiodic([1, 1, 2], 1, 7)
+    assert report.first_not_psd == 3
     for order, result in enumerate(report.results):
         if result.is_psd:
             continue
         mat = hankel_matrix(report.sequence, order)
+        assert len(result.witness) == order + 1
         assert _quadratic_form(mat.entries, result.witness) < 0
+        if order > report.first_not_psd:
+            assert result.witness == _padded_first_witness(report, order)
+
+
+def test_scan_padded_witness_is_reverified(monkeypatch):
+    # a first witness that certifies nothing must not be carried to later orders
+    monkeypatch.setattr(
+        "cfmoments.hankel.psd_check",
+        lambda rows: PsdResult(is_psd=False, witness=(F(0),) * len(rows)),
+    )
+    with pytest.raises(InvariantError, match="padded witness"):
+        scan_kperiodic([1, 1, 2], 1, 1)
