@@ -204,16 +204,16 @@ def generalized_fibonacci(coeff: Scalar, n_max: int) -> List[Fraction]:
     """F_0..F_n_max with F_0 = 0, F_1 = 1, F_{n+1} = coeff*F_n + F_{n-1}.
 
     coeff = 1 gives the Fibonacci numbers, coeff = 2 the Pell numbers.
+    F_{n+1} is the denominator D_n of the one-term period list [coeff] at
+    w = 0, so these come from the period-map recurrence too.
     """
     c = Fraction(coeff)
     if c <= 0:
         raise ParameterError(f"recurrence coefficient must be positive, got {c}")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    seq = [Fraction(0), Fraction(1)]
-    for n in range(1, n_max):
-        seq.append(c * seq[n] + seq[n - 1])
-    return seq[: n_max + 1]
+    tail = _period_map([c], Fraction(0), n_max - 1)
+    return [Fraction(0)] + [Fraction(den, scale) for _, den, scale in tail]
 
 
 def kperiodic_convergents(

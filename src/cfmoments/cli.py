@@ -4,8 +4,11 @@ positivity classification, Hankel scans and Fibonacci-ratio checks.
 All rational inputs are parsed exactly ('7/2', '2', '0.5'); all exact values
 are emitted as strings, never as binary floats.  Exit codes: 0 success (and
 all identities matched), 1 a verification identity failed, 2 invalid
-arguments, 3 an internal invariant failed (a bug, never a verdict).  Exact
-values are emitted in full however many digits they have.
+arguments (including an unreadable or malformed --args-file and an
+unwritable --output), 3 an internal invariant failed (a bug, never a
+verdict); :func:`main` alone maps errors to these codes.  --args-file lines
+are split shell-style.  Exact values are emitted in full however many digits
+they have.
 """
 
 from __future__ import annotations
@@ -31,12 +34,8 @@ Row = Dict[str, Any]
 Emission = Tuple[Dict[str, Any], List[Row], Dict[str, Any], int]
 
 
-def _fmt(value: Any) -> str:
-    return str(value)
-
-
 def _expand_args_file(argv: List[str]) -> List[str]:
-    """Splice in tokens from an --args-file (one flag per line)."""
+    """Splice in tokens from an --args-file (one flag per line, split shell-style)."""
     out: List[str] = []
     i = 0
     while i < len(argv):
@@ -54,12 +53,21 @@ def _expand_args_file(argv: List[str]) -> List[str]:
             out.append(token)
             i += 1
             continue
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    out.extend(shlex.split(line))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if line and not line.startswith("#"):
+                        out.extend(shlex.split(line))
+        except ValueError as exc:  # not UTF-8, or a shlex "No closing quotation"
+            raise DomainError(f"malformed --args-file {path}: {exc}") from exc
     return out
+
+
+def _add_params_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", required=True)
+    parser.add_argument("--b", required=True)
+    parser.add_argument("--w", default="0")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -81,6 +89,10 @@ def _params_triple(args: argparse.Namespace) -> TwoPeriodicParams:
     )
 
 
+def _params_meta(command: str, params: TwoPeriodicParams) -> Dict[str, Any]:
+    return {"command": command, "a": str(params.a), "b": str(params.b), "w": str(params.w)}
+
+
 def cmd_convergents(args: argparse.Namespace) -> Emission:
     params = _params_triple(args)
     if args.n_max < 0:
@@ -90,19 +102,13 @@ def cmd_convergents(args: argparse.Namespace) -> Emission:
         rows.append(
             {
                 "n": n,
-                "numerator": _fmt(conv.numerator),
-                "denominator": _fmt(conv.denominator),
-                "value": _fmt(conv.value),
+                "numerator": str(conv.numerator),
+                "denominator": str(conv.denominator),
+                "value": str(conv.value),
                 "decimal": decimal_string(conv.value, args.digits),
             }
         )
-    meta = {
-        "command": "convergents",
-        "a": _fmt(params.a),
-        "b": _fmt(params.b),
-        "w": _fmt(params.w),
-        "n_max": args.n_max,
-    }
+    meta = {**_params_meta("convergents", params), "n_max": args.n_max}
     return meta, rows, {"status": "ok"}, 0
 
 
@@ -122,8 +128,8 @@ def cmd_verify(args: argparse.Namespace) -> Emission:
             mismatches += 1
         row = {
             "n": n,
-            "s": _fmt(conv.value),
-            "moment": _fmt(mom),
+            "s": str(conv.value),
+            "moment": str(mom),
             "match": match,
             "decimal": decimal_string(conv.value, args.digits),
         }
@@ -132,17 +138,11 @@ def cmd_verify(args: argparse.Namespace) -> Emission:
             within = abs(mom - value) <= bound
             if not within:
                 mismatches += 1
-            row["truncated"] = _fmt(value)
-            row["tail_bound"] = _fmt(bound)
+            row["truncated"] = str(value)
+            row["tail_bound"] = str(bound)
             row["within_bound"] = within
         rows.append(row)
-    meta = {
-        "command": "verify",
-        "a": _fmt(params.a),
-        "b": _fmt(params.b),
-        "w": _fmt(params.w),
-        "n_max": args.n_max,
-    }
+    meta = {**_params_meta("verify", params), "n_max": args.n_max}
     if args.truncate is not None:
         meta["truncate"] = args.truncate
     verdict = {"all_match": mismatches == 0, "mismatches": mismatches}
@@ -158,18 +158,12 @@ def cmd_classify(args: argparse.Namespace) -> Emission:
         "a_ge_b": verdict.a_ge_b,
         "w_above_even_threshold": verdict.w_above_even_threshold,
         "w_above_order_threshold": verdict.w_above_order_threshold,
-        "even_ratio": _fmt(verdict.even_ratio),
-        "odd_ratio": _fmt(verdict.odd_ratio),
+        "even_ratio": str(verdict.even_ratio),
+        "odd_ratio": str(verdict.odd_ratio),
         "even_ratio_decimal": verdict.even_ratio.decimal(args.digits),
         "odd_ratio_decimal": verdict.odd_ratio.decimal(args.digits),
     }
-    meta = {
-        "command": "classify",
-        "a": _fmt(params.a),
-        "b": _fmt(params.b),
-        "w": _fmt(params.w),
-    }
-    return meta, [], out, 0
+    return _params_meta("classify", params), [], out, 0
 
 
 def cmd_hankel_scan(args: argparse.Namespace) -> Emission:
@@ -183,15 +177,15 @@ def cmd_hankel_scan(args: argparse.Namespace) -> Emission:
         rows.append(
             {
                 "order": order,
-                "determinant": _fmt(report.determinants[order]),
+                "determinant": str(report.determinants[order]),
                 "psd": report.psd[order],
                 "decimal": decimal_string(report.determinants[order], args.digits),
             }
         )
     meta = {
         "command": "hankel-scan",
-        "periods": [_fmt(p) for p in report.periods],
-        "w": _fmt(report.w),
+        "periods": [str(p) for p in report.periods],
+        "w": str(report.w),
         "max_order": report.max_order,
     }
     verdict = {
@@ -228,19 +222,19 @@ def cmd_fibonacci(args: argparse.Namespace) -> Emission:
         rows.append(
             {
                 "n": n,
-                "gen_fib": _fmt(fib[n]),
-                "ratio": _fmt(ratio),
-                "ratio_moment": _fmt(ratio_mom),
+                "gen_fib": str(fib[n]),
+                "ratio": str(ratio),
+                "ratio_moment": str(ratio_mom),
                 "ratio_match": ratio_ok,
-                "shifted_ratio": _fmt(shifted),
-                "shifted_ratio_moment": _fmt(shifted_mom),
+                "shifted_ratio": str(shifted),
+                "shifted_ratio_moment": str(shifted_mom),
                 "shifted_ratio_match": shifted_ok,
-                "fib": _fmt(ordinary[n + 1]),
-                "binet_moment": _fmt(binet_mom),
+                "fib": str(ordinary[n + 1]),
+                "binet_moment": str(binet_mom),
                 "binet_match": binet_ok,
             }
         )
-    meta = {"command": "fibonacci", "a": _fmt(coeff), "n_max": n_max}
+    meta = {"command": "fibonacci", "a": str(coeff), "n_max": n_max}
     verdict = {"all_match": mismatches == 0, "mismatches": mismatches}
     return meta, rows, verdict, 0 if mismatches == 0 else 1
 
@@ -299,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convergents", help="emit N_n, D_n, s_n rows")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--w", default="0")
+    _add_params_options(p)
     p.add_argument("--n-max", dest="n_max", type=int, default=10)
     _add_output_options(p)
     p.set_defaults(handler=cmd_convergents)
@@ -309,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="check closed-form moments against s_n, exactly"
     )
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--w", default="0")
+    _add_params_options(p)
     p.add_argument("--n-max", dest="n_max", type=int, default=20)
     p.add_argument(
         "--truncate",
@@ -324,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("classify", help="exact positivity classification")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--w", default="0")
+    _add_params_options(p)
     _add_output_options(p)
     p.set_defaults(handler=cmd_classify)
 
@@ -352,41 +340,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; the one place where errors become exit codes."""
     # Exact output stays exact: Python's int-to-str digit limit (3.11+, some
     # 3.10 patch releases) would end huge values in a ValueError.  The limit
     # is lifted for this call only, so in-process callers keep their own.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
         return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
-def _run(argv: Optional[List[str]]) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        expanded = _expand_args_file(raw)
-    except (OSError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(expanded)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        meta, rows, verdict, code = args.handler(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        set_limit(previous)
+
+
+def _run(argv: Optional[List[str]]) -> int:
+    raw = list(sys.argv[1:]) if argv is None else list(argv)
+    expanded = _expand_args_file(raw)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(expanded)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    meta, rows, verdict, code = args.handler(args)
     text = _render(args.format, meta, rows, verdict)
     if args.output:
+        if "\0" in args.output:  # open() would raise ValueError, not OSError
+            raise DomainError(f"--output path contains a NUL byte: {args.output!r}")
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

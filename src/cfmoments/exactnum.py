@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -299,10 +297,10 @@ class QuadElem:
     def decimal(self, digits: int) -> str:
         """Correctly rounded decimal expansion with ``digits`` fractional digits.
 
-        Computed from exact data: the rational case rounds half-to-even; the
-        irrational case brackets sqrt(radicand) by integer square roots and
-        refines the enclosure until the rounded digit string is pinned down
-        (no ties can occur for an irrational value).
+        Computed from exact data and rounded half-to-even: the irrational
+        case brackets sqrt(radicand) by integer square roots and refines the
+        enclosure until both endpoints round to the same digit string (no ties
+        can occur for an irrational value).
         """
         if digits < 1:
             raise DomainError("digits must be >= 1")
@@ -323,8 +321,8 @@ class QuadElem:
             else:
                 val_lo = self.rat + self.surd * hi
                 val_hi = self.rat + self.surd * lo
-            n_lo = _round_half_up_floor(val_lo * scale)
-            n_hi = _round_half_up_floor(val_hi * scale)
+            n_lo = _round_half_even(val_lo * scale)
+            n_hi = _round_half_even(val_hi * scale)
             if n_lo == n_hi:
                 return _format_scaled(n_lo, digits)
             prec += 8
@@ -343,21 +341,17 @@ class QuadElem:
         return f"QuadElem({self.rat!r}, {self.surd!r}, sqrt={self.field.radicand!r})"
 
 
-def _round_half_up_floor(x: Fraction) -> int:
-    """floor(x + 1/2); used on enclosure endpoints of an irrational value."""
-    y = x + Fraction(1, 2)
-    return y.numerator // y.denominator
+def _round_half_even(x: Fraction) -> int:
+    """The integer nearest x, ties to even."""
+    whole, rem = divmod(x.numerator, x.denominator)
+    double = 2 * rem
+    if double > x.denominator or (double == x.denominator and whole % 2 != 0):
+        whole += 1
+    return whole
 
 
 def _decimal_of_fraction(x: Fraction, digits: int) -> str:
-    scaled = x * Fraction(10) ** digits
-    whole, rem = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * rem
-    if double > scaled.denominator:
-        whole += 1
-    elif double == scaled.denominator and whole % 2 != 0:
-        whole += 1
-    return _format_scaled(whole, digits)
+    return _format_scaled(_round_half_even(x * Fraction(10) ** digits), digits)
 
 
 def _format_scaled(n: int, digits: int) -> str:

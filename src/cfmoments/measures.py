@@ -6,13 +6,13 @@ both geometric.  That symbolic representation keeps every moment computable
 in closed form inside a quadratic field, which is what makes the moment
 identities of this package decidable exactly instead of numerically.
 
-A family with scale s, weight ratio g, location ratio l, location sign o and
-start exponent m0 denotes
+A family with scale s, weight ratio g, location ratio l and location sign o
+denotes
 
-    sum over m >= m0 of  (s * g^m) * delta at (o * l^m),
+    sum over m >= 1 of  (s * g^m) * delta at (o * l^m),
 
-so its order-n moment is s * o^n * (g*l^n)^m0 / (1 - g*l^n), a plain
-geometric series.
+so its order-n moment is s * o^n * g*l^n / (1 - g*l^n), a plain geometric
+series.
 """
 
 from __future__ import annotations
@@ -48,13 +48,12 @@ class GeometricAtomFamily:
     weight_ratio: QuadElem
     location_ratio: QuadElem
     location_sign: int = 1
-    start_exponent: int = 1
 
     def atom(self, k: int) -> Atom:
-        """The k-th atom (k >= 0), at exponent start_exponent + k."""
+        """The k-th atom (k >= 0), at exponent 1 + k."""
         if k < 0:
             raise DomainError("atom index must be >= 0")
-        m = self.start_exponent + k
+        m = 1 + k
         return Atom(
             location=self.location_sign * self.location_ratio**m,
             weight=self.scale * self.weight_ratio**m,
@@ -64,7 +63,7 @@ class GeometricAtomFamily:
         """Exact order-n moment by summing the geometric series in closed form."""
         step = self.weight_ratio * self.location_ratio**order
         one = self.scale.field.one
-        value = self.scale * step**self.start_exponent / (one - step)
+        value = self.scale * step / (one - step)
         if self.location_sign < 0 and order % 2 == 1:
             value = -value
         return value
@@ -100,8 +99,6 @@ class DiscreteSignedMeasure:
                     raise DomainError("family does not live in the measure's field")
             if fam.location_sign not in (1, -1):
                 raise DomainError("location_sign must be +1 or -1")
-            if fam.start_exponent < 0:
-                raise DomainError("start_exponent must be >= 0")
             for name, ratio in (
                 ("weight", fam.weight_ratio),
                 ("location", fam.location_ratio),
@@ -133,7 +130,7 @@ class DiscreteSignedMeasure:
         Returns (value, tail_bound).  The value literally sums the omitted
         series term by term (head atoms are exact), making it an independent
         check on :meth:`moment`; the bound dominates everything left out:
-        sum of |scale| * |g*l^n|^(start+terms) / (1 - |g*l^n|) per family.
+        sum of |scale| * |g*l^n|^(1+terms) / (1 - |g*l^n|) per family.
         """
         if order < 0:
             raise DomainError("moment order must be >= 0")
@@ -146,12 +143,12 @@ class DiscreteSignedMeasure:
         one = self.field.one
         for fam in self.families:
             step = fam.weight_ratio * fam.location_ratio**order
-            partial = _geometric_partial_sum(step, fam.start_exponent, terms)
+            partial = _geometric_partial_sum(step, terms)
             if fam.location_sign < 0 and order % 2 == 1:
                 partial = -partial
             value = value + fam.scale * partial
             abs_step = abs(step)
-            tail = abs(fam.scale) * abs_step ** (fam.start_exponent + terms)
+            tail = abs(fam.scale) * abs_step ** (1 + terms)
             bound = bound + tail / (one - abs_step)
         return value, bound
 
@@ -212,16 +209,9 @@ class DiscreteSignedMeasure:
             for loc in sorted(merged_heads)
             if merged_heads[loc] != 0
         )
-        merged_fams: Dict[
-            Tuple[QuadElem, QuadElem, int, int], QuadElem
-        ] = {}
+        merged_fams: Dict[Tuple[QuadElem, QuadElem, int], QuadElem] = {}
         for fam in self.families:
-            key = (
-                fam.weight_ratio,
-                fam.location_ratio,
-                fam.location_sign,
-                fam.start_exponent,
-            )
+            key = (fam.weight_ratio, fam.location_ratio, fam.location_sign)
             if key in merged_fams:
                 merged_fams[key] = merged_fams[key] + fam.scale
             else:
@@ -232,16 +222,15 @@ class DiscreteSignedMeasure:
                 weight_ratio=key[0],
                 location_ratio=key[1],
                 location_sign=key[2],
-                start_exponent=key[3],
             )
-            for key in sorted(merged_fams, key=lambda k: (k[0], k[1], k[2], k[3]))
+            for key in sorted(merged_fams)
             if merged_fams[key] != 0 and key[0] != 0
         )
         return DiscreteSignedMeasure(self.field, heads, fams, self.bounded_support)
 
 
-def _geometric_partial_sum(step: QuadElem, start: int, terms: int) -> QuadElem:
-    """sum of step^m for m = start .. start+terms-1, by literal accumulation.
+def _geometric_partial_sum(step: QuadElem, terms: int) -> QuadElem:
+    """sum of step^m for m = 1 .. terms, by literal accumulation.
 
     Runs on integer triples (P, R, D) with step = (P + R*sqrt(U))/D and U an
     integer radicand, deferring all normalisation to a single final Fraction
@@ -257,14 +246,8 @@ def _geometric_partial_sum(step: QuadElem, start: int, terms: int) -> QuadElem:
     den = lcm(c_rat.denominator, c_surd.denominator)
     p_step = c_rat.numerator * (den // c_rat.denominator)
     r_step = c_surd.numerator * (den // c_surd.denominator)
-    # current term = (p + r*sqrt(U)) / den^expo, starting at step^start
-    p_cur, r_cur, expo = 1, 0, 0
-    for _ in range(start):
-        p_cur, r_cur = (
-            p_cur * p_step + r_cur * r_step * big_rad,
-            p_cur * r_step + r_cur * p_step,
-        )
-        expo += 1
+    # current term = (p + r*sqrt(U)) / den^expo, starting at step^1
+    p_cur, r_cur, expo = p_step, r_step, 1
     sum_p, sum_r = 0, 0
     for i in range(terms):
         sum_p = sum_p * den + p_cur
@@ -294,8 +277,8 @@ def collect_atoms(
     for atom in measure.head_atoms:
         merged[atom.location] = merged.get(atom.location, measure.field.zero) + atom.weight
     for fam in measure.families:
-        for m in range(fam.start_exponent, max_exponent + 1):
-            atom = fam.atom(m - fam.start_exponent)
+        for k in range(max_exponent):
+            atom = fam.atom(k)
             merged[atom.location] = (
                 merged.get(atom.location, measure.field.zero) + atom.weight
             )

@@ -115,6 +115,14 @@ def convergents_by_two_step(
     return list(zip(nums, dens))[: n_max + 1]
 
 
+def fibonacci_by_three_term(coeff: Fraction, n_max: int) -> List[Fraction]:
+    """F_0..F_n_max by the three-term loop F_{n+1} = coeff*F_n + F_{n-1} over Fractions."""
+    seq = [Fraction(0), Fraction(1)]
+    for n in range(1, n_max):
+        seq.append(coeff * seq[n] + seq[n - 1])
+    return seq[: n_max + 1]
+
+
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 

@@ -20,6 +20,7 @@ from cfmoments.exactnum import DomainError, InvariantError, QuadField
 from helpers import (
     convergents_by_two_step,
     fib,
+    fibonacci_by_three_term,
     kperiodic_bottom_up,
     kperiodic_by_fold,
     param_triples,
@@ -151,6 +152,15 @@ def test_generalized_fibonacci_sequences():
 def test_generalized_fibonacci_initial_conditions(coeff):
     seq = generalized_fibonacci(coeff, 1)
     assert seq == [0, 1]
+
+
+@given(oracle_periods, st.integers(min_value=0, max_value=40))
+@example(F(1), 0)
+@example(F(1), 1)
+@example(F(7, 2), 29)
+@example(F(5, 7), 29)
+def test_generalized_fibonacci_matches_three_term_recurrence(coeff, n_max):
+    assert generalized_fibonacci(coeff, n_max) == fibonacci_by_three_term(coeff, n_max)
 
 
 @given(param_triples, st.integers(min_value=0, max_value=20))

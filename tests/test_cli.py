@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import io
 import json
+import shlex
 import sys
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmoments.cli import main
 from cfmoments.exactnum import InvariantError
@@ -290,6 +296,45 @@ def test_missing_args_file(capsys):
     assert "error" in err
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "classify", "--a", "1", "--b", "1", "--output", str(target))
+    assert_one_error_line(code, out, err)
+    assert str(target) in err
+
+
+def test_args_file_with_unclosed_quote_exits_2(tmp_path, capsys):
+    args_file = tmp_path / "flags.txt"
+    args_file.write_text('--a "1\n')
+    code, out, err = run(capsys, "classify", "--args-file", str(args_file))
+    assert_one_error_line(code, out, err)
+    assert "No closing quotation" in err
+
+
+def test_args_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    args_file = tmp_path / "flags.txt"
+    args_file.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "classify", f"--args-file={args_file}")
+    assert_one_error_line(code, out, err)
+    assert "utf-8" in err
+
+
+def test_args_file_with_nul_byte_in_output_path_exits_2(tmp_path, capsys):
+    args_file = tmp_path / "flags.txt"
+    args_file.write_bytes(b'--a 1\n--b 1\n--output "x\x00y"\n')
+    code, out, err = run(capsys, "classify", "--args-file", str(args_file))
+    assert_one_error_line(code, out, err)
+    assert "NUL" in err
+
+
 def test_decimal_preview_digits(capsys):
     code, out, _ = run(
         capsys, "convergents", "--a", "2", "--b", "7", "--w", "0",
@@ -299,3 +344,81 @@ def test_decimal_preview_digits(capsys):
     payload = json.loads(out)
     # converged to the sqrt(7) limit at this depth, to 10 decimals
     assert payload["rows"][-1]["decimal"].startswith("0.4686269665")
+
+
+# -- the exit-code contract over odd inputs ----------------------------------
+
+SUBCOMMAND_FLAGS = {
+    "convergents": ["--a", "--b", "--w", "--n-max"],
+    "verify": ["--a", "--b", "--w", "--n-max", "--truncate"],
+    "classify": ["--a", "--b", "--w"],
+    "hankel-scan": ["--periods", "--w", "--max-order"],
+    "fibonacci": ["--a", "--n-max"],
+}
+REQUIRED_FLAGS = {
+    "convergents": ["--a", "--b"],
+    "verify": ["--a", "--b"],
+    "classify": ["--a", "--b"],
+    "hankel-scan": ["--periods"],
+    "fibonacci": ["--a"],
+}
+odd_rationals = st.one_of(
+    st.sampled_from(["1", "7/2", "0.5", "0", "-1", "1e-30", "3/0", "x", "", " 2 ", "1/-3"]),
+    st.integers(min_value=-30, max_value=30).map(lambda e: f"1e{e}"),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7).map(str),
+)
+ODD_ARGS_FILE_LINES = [b'--a "1', b"\xff\xfe", b'--output "\x00"', b"# note", b""]
+FLAG_VALUES = {
+    "--a": odd_rationals,
+    "--b": odd_rationals,
+    "--w": odd_rationals,
+    "--periods": st.lists(odd_rationals, max_size=4).map(",".join),
+    "--n-max": st.integers(min_value=-3, max_value=25).map(str),
+    "--max-order": st.integers(min_value=-2, max_value=4).map(str),
+    "--truncate": st.integers(min_value=-1, max_value=5).map(str),
+    "--digits": st.integers(min_value=-2, max_value=30).map(str),
+    "--format": st.sampled_from(["plain", "csv", "json", "xml"]),
+}
+
+
+@st.composite
+def invocations(draw):
+    """(argv, args-file bytes or None, --output choice) for one call of main()."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    own = SUBCOMMAND_FLAGS[command] + ["--format", "--digits"]
+    flags = draw(st.lists(st.sampled_from(own), max_size=4))
+    if draw(st.booleans()):
+        flags = REQUIRED_FLAGS[command] + flags
+    pairs = [(flag, draw(FLAG_VALUES[flag])) for flag in flags]
+    in_file = draw(st.integers(min_value=0, max_value=len(pairs)))
+    # hankel-scan's default order 8 takes seconds on extreme periods
+    argv = [command, "--max-order", "4"] if command == "hankel-scan" else [command]
+    argv += [token for pair in pairs[in_file:] for token in pair]
+    lines = [f"{flag} {shlex.quote(value)}".encode() for flag, value in pairs[:in_file]]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        lines.append(draw(st.sampled_from(ODD_ARGS_FILE_LINES)))
+    args_file = draw(st.sampled_from([None, b"\n".join(lines)]))
+    output = draw(st.sampled_from([None, None, "out.txt", "missing/out.txt"]))
+    return argv, args_file, output
+
+
+@given(invocations())
+@settings(max_examples=150, deadline=None)
+def test_every_input_ends_in_a_documented_exit_code(invocation):
+    argv, args_file, output = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if args_file is not None:
+            path = Path(tmp, "flags.txt")
+            path.write_bytes(args_file)
+            argv = argv + ["--args-file", str(path)]
+        if output is not None:
+            argv = argv + ["--output", str(Path(tmp, output))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        assert "error: " in err.getvalue()
+    else:
+        assert err.getvalue() == ""
