@@ -121,8 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> Emission:
     measure = moment_measure(params)
     rows = []
     mismatches = 0
-    for n, conv in enumerate(convergents(params, args.n_max)):
-        mom = measure.moment(n)
+    sweep = zip(convergents(params, args.n_max), measure.moments(args.n_max))
+    for n, (conv, mom) in enumerate(sweep):
         match = mom == conv.value
         if not match:
             mismatches += 1
@@ -205,16 +205,13 @@ def cmd_fibonacci(args: argparse.Namespace) -> Emission:
     ordinary = generalized_fibonacci(1, n_max + 1)
     params = TwoPeriodicParams(coeff, coeff, 1 / coeff)
     ratio_measure = moment_measure(params)
-    shifted_measure = ratio_measure.with_head(1, coeff)
-    binet = binet_measure()
+    measures = (ratio_measure, ratio_measure.with_head(1, coeff), binet_measure())
     rows = []
     mismatches = 0
-    for n in range(n_max + 1):
+    sweep = zip(*(measure.moments(n_max) for measure in measures))
+    for n, (ratio_mom, shifted_mom, binet_mom) in enumerate(sweep):
         ratio = fib[n + 1] / fib[n + 2]
         shifted = fib[n + 3] / fib[n + 2]
-        ratio_mom = ratio_measure.moment(n)
-        shifted_mom = shifted_measure.moment(n)
-        binet_mom = binet.moment(n)
         ratio_ok = ratio_mom == ratio
         shifted_ok = shifted_mom == shifted
         binet_ok = binet_mom == ordinary[n + 1]

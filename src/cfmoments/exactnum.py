@@ -3,16 +3,23 @@
 Everything in this package computes through two value types: stdlib
 ``fractions.Fraction`` for rationals (already canonical: reduced, positive
 denominator) and :class:`QuadElem` for numbers ``p + r*sqrt(d)`` with
-rational ``p, r`` and a fixed nonnegative rational radicand ``d``.  There is
-no floating point anywhere; signs, comparisons and decimal renderings are
-decided by exact integer arithmetic.
+rational ``p, r`` and a fixed nonnegative rational radicand ``d = u/v``.
+
+A QuadElem is stored as one reduced integer triple ``(P, R, D)`` with value
+``(P + R*sqrt(U))/D``, where ``U = u*v`` is the field's integer radicand
+(``sqrt(u/v) = sqrt(U)/v``).  ``D > 0`` and ``gcd(D, P, R) = 1``, and
+``R = 0`` whenever ``U`` is a perfect square, so every value has exactly one
+triple.  An operation costs integer products and gcds of bounded size: a
+sum is reduced only by a factor of gcd(D1, D2), a product only by one its
+smaller factor's norm allows.  There is no floating point anywhere; signs,
+comparisons and decimal renderings are decided by exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-from typing import Optional, Union
+from math import gcd, isqrt, lcm
+from typing import Any, Callable, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -29,24 +36,12 @@ class InvariantError(RuntimeError):
     """An internal identity that must hold exactly failed to hold."""
 
 
-def _sgn(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """Exact square root of ``x`` when it is the square of a rational, else None."""
     if x < 0:
         return None
-    num, den = x.numerator, x.denominator
-    rn = isqrt(num)
-    if rn * rn != num:
-        return None
-    rd = isqrt(den)
-    if rd * rd != den:
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
         return None
     return Fraction(rn, rd)
 
@@ -59,7 +54,7 @@ class QuadField:
     coincides with equality of values in every field.
     """
 
-    __slots__ = ("radicand", "root")
+    __slots__ = ("radicand", "root", "_int_radicand")
 
     def __init__(self, radicand: Scalar) -> None:
         rad = Fraction(radicand)
@@ -67,6 +62,7 @@ class QuadField:
             raise DomainError(f"radicand must be nonnegative, got {rad}")
         self.radicand = rad
         self.root = rational_sqrt(rad)
+        self._int_radicand = rad.numerator * rad.denominator
 
     @property
     def is_degenerate(self) -> bool:
@@ -74,15 +70,22 @@ class QuadField:
         return self.root is not None
 
     def element(self, rat: Scalar = 0, surd: Scalar = 0) -> QuadElem:
-        return QuadElem(self, Fraction(rat), Fraction(surd))
+        """The element rat + surd*sqrt(radicand), folded to Q when the radicand is a square."""
+        rat, surd = Fraction(rat), Fraction(surd) / self.radicand.denominator
+        d = lcm(rat.denominator, surd.denominator)
+        p = rat.numerator * (d // rat.denominator)
+        r = surd.numerator * (d // surd.denominator)
+        if self.root is None:
+            return QuadElem(self, p, r, d, 1)
+        return QuadElem(self, p + r * isqrt(self._int_radicand), 0, d, d)
 
     @property
     def zero(self) -> QuadElem:
-        return self.element(0)
+        return QuadElem(self, 0, 0, 1, 1)
 
     @property
     def one(self) -> QuadElem:
-        return self.element(1)
+        return QuadElem(self, 1, 0, 1, 1)
 
     def sqrt(self, x: Scalar) -> QuadElem:
         """sqrt(x) as a field element, for x >= 0 with radicand/x a rational square.
@@ -115,98 +118,119 @@ class QuadField:
         return hash(("QuadField", self.radicand))
 
 
-class QuadElem:
-    """An element ``rat + surd*sqrt(radicand)`` of a fixed quadratic field.
+def _coerced(op: Callable[[QuadElem, QuadElem], Any]) -> Callable[[QuadElem, object], Any]:
+    """An operator method whose other operand arrives in self's field: ints and
+    Fractions coerce, another radicand raises FieldMismatchError, else NotImplemented."""
 
-    Values are normalised on construction (degenerate radicands fold into the
-    rational part), every operation returns a normalised value, and equality
-    is therefore both structural and mathematical.  Mixing radicands raises
-    :class:`FieldMismatchError`; plain ints and Fractions coerce freely.
-    """
-
-    __slots__ = ("field", "rat", "surd")
-
-    def __init__(self, field: QuadField, rat: Fraction, surd: Fraction) -> None:
-        if surd != 0 and field.root is not None:
-            rat = rat + surd * field.root
-            surd = Fraction(0)
-        self.field = field
-        self.rat = rat
-        self.surd = surd
-
-    # -- coercion ----------------------------------------------------------
-
-    def _coerce(self, other: object) -> Optional[QuadElem]:
+    def method(self: QuadElem, other: object) -> Any:
         if isinstance(other, QuadElem):
-            if other.field.radicand != self.field.radicand:
+            if other.field is not self.field and other.field.radicand != self.field.radicand:
                 raise FieldMismatchError(
                     f"cannot combine sqrt({self.field.radicand}) with "
                     f"sqrt({other.field.radicand}) elements"
                 )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element(other)
-        return None
+        elif isinstance(other, (int, Fraction)):
+            other = QuadElem(self.field, other.numerator, 0, other.denominator, 1)
+        else:
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
+
+class QuadElem:
+    """An element ``rat + surd*sqrt(radicand)`` of a fixed quadratic field.
+
+    Stored as the reduced triple ``(P, R, D)`` of the module docstring, with
+    the read-only Fractions ``rat = P/D`` and ``surd = R*v/D`` (radicand
+    ``u/v``).  Every operation returns a reduced triple, so equality is both
+    structural and mathematical.  Mixing radicands raises
+    :class:`FieldMismatchError`; plain ints and Fractions coerce freely.
+    """
+
+    __slots__ = ("field", "_p", "_r", "_d")
+
+    def __init__(self, field: QuadField, p: int, r: int, d: int, bound: int) -> None:
+        """(p + r*sqrt(U))/d for d > 0, divided by gcd(bound, p, r).
+
+        ``bound`` divides d and is a multiple of gcd(d, p, r): d itself, less
+        where the operation knows better, 1 for a triple already reduced.
+        """
+        if bound != 1:
+            g = gcd(bound, p, r)
+            if g != 1:
+                p, r, d = p // g, r // g, d // g
+        self.field, self._p, self._r, self._d = field, p, r, d
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part p of p + r*sqrt(radicand)."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def surd(self) -> Fraction:
+        """The coefficient r of sqrt(radicand) in p + r*sqrt(radicand)."""
+        return Fraction(self._r * self.field.radicand.denominator, self._d)
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: object) -> QuadElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.field, self.rat + o.rat, self.surd + o.surd)
+    @_coerced
+    def __add__(self, o: QuadElem) -> QuadElem:
+        return self._plus(o._p, o._r, o._d)
 
     __radd__ = __add__
 
-    def __sub__(self, other: object) -> QuadElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.field, self.rat - o.rat, self.surd - o.surd)
+    @_coerced
+    def __sub__(self, o: QuadElem) -> QuadElem:
+        return self._plus(-o._p, -o._r, o._d)
 
-    def __rsub__(self, other: object) -> QuadElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o: QuadElem) -> QuadElem:
         return o - self
 
-    def __neg__(self) -> QuadElem:
-        return QuadElem(self.field, -self.rat, -self.surd)
+    def _plus(self, p2: int, r2: int, d2: int) -> QuadElem:
+        """self + (p2 + r2*sqrt(U))/d2 by Knuth's fraction addition (TAOCP
+        vol. 2, 4.5.1): with g = gcd(D, d2), only a factor of g can be common
+        to the sum and lcm(D, d2), so the sum is reduced by gcd(g, P, R)."""
+        d1 = self._d
+        g = gcd(d1, d2)
+        e1, e2 = d1 // g, d2 // g
+        return QuadElem(self.field, self._p * e2 + p2 * e1, self._r * e2 + r2 * e1, d1 * e2, g)
 
-    def __mul__(self, other: object) -> QuadElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        rad = self.field.radicand
-        return QuadElem(
-            self.field,
-            self.rat * o.rat + self.surd * o.surd * rad,
-            self.rat * o.surd + self.surd * o.rat,
-        )
+    def __neg__(self) -> QuadElem:
+        return QuadElem(self.field, -self._p, -self._r, self._d, 1)
+
+    @_coerced
+    def __mul__(self, o: QuadElem) -> QuadElem:
+        big, small = (self, o) if self._d.bit_length() >= o._d.bit_length() else (o, self)
+        p1, r1, d1, p2, r2, d2 = big._p, big._r, big._d, small._p, small._r, small._d
+        u = self.field._int_radicand
+        # A prime of d1 divides the product's content at most as often as the
+        # small factor's norm N = p2^2 - r2^2*U, so the gcd with d1*d2 divides
+        # d2*gcd(d1, N): its cost follows the small factor, not the product.
+        bound = d2 * gcd(d1, p2 * p2 - r2 * r2 * u)
+        return QuadElem(self.field, p1 * p2 + r1 * r2 * u, p1 * r2 + r1 * p2, d1 * d2, bound)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadElem:
-        """Multiplicative inverse via the conjugate: 1/(p+r*sqrt(d)) = (p-r*sqrt(d))/(p^2-r^2*d)."""
-        norm = self.rat * self.rat - self.surd * self.surd * self.field.radicand
+        """Multiplicative inverse via the conjugate: D/(P+R*sqrt(U)) = D*(P-R*sqrt(U))/(P^2-R^2*U)."""
+        p, r, d = self._p, self._r, self._d
+        norm = p * p - r * r * self.field._int_radicand
         if norm == 0:
-            if self.rat == 0 and self.surd == 0:
+            if p == 0 and r == 0:
                 raise ZeroDivisionError("inverse of zero quadratic element")
-            raise InvariantError(
-                "zero norm for a nonzero element; radicand failed to fold"
-            )
-        return QuadElem(self.field, self.rat / norm, -self.surd / norm)
+            raise InvariantError("zero norm for a nonzero element; radicand failed to fold")
+        if norm < 0:
+            norm, d = -norm, -d
+        return QuadElem(self.field, d * p, -d * r, norm, norm)
 
-    def __truediv__(self, other: object) -> QuadElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o: QuadElem) -> QuadElem:
         return self * o.inverse()
 
-    def __rtruediv__(self, other: object) -> QuadElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, o: QuadElem) -> QuadElem:
         return o * self.inverse()
 
     def __pow__(self, exponent: int) -> QuadElem:
@@ -217,11 +241,12 @@ class QuadElem:
         result = self.field.one
         base = self
         n = exponent
-        while n > 0:
+        while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __abs__(self) -> QuadElem:
@@ -230,134 +255,113 @@ class QuadElem:
     # -- exact decisions ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of p + r*sqrt(d), decided by comparing p^2 against r^2*d."""
-        p, r = self.rat, self.surd
-        if r == 0:
-            return _sgn(p)
-        if p == 0:
-            return _sgn(r)
-        sp, sr = _sgn(p), _sgn(r)
-        if sp == sr:
-            return sp
-        gap = p * p - r * r * self.field.radicand
-        if gap > 0:
-            return sp
-        if gap < 0:
-            return sr
-        raise InvariantError("p^2 == r^2*d with r != 0: radicand failed to fold")
+        """Exact sign of (P + R*sqrt(U))/D, decided by comparing P^2 against R^2*U."""
+        p, r = self._p, self._r
+        sp, sr = (p > 0) - (p < 0), (r > 0) - (r < 0)
+        if sp * sr >= 0:
+            return sp or sr
+        gap = p * p - r * r * self.field._int_radicand
+        if gap == 0:
+            raise InvariantError("p^2 == r^2*d with r != 0: radicand failed to fold")
+        return sp if gap > 0 else sr
 
     @property
     def is_rational(self) -> bool:
-        return self.surd == 0
+        return self._r == 0
 
     def as_fraction(self) -> Fraction:
-        if self.surd != 0:
+        if self._r != 0:
             raise DomainError(f"{self} has a nonzero surd part")
-        return self.rat
+        return Fraction(self._p, self._d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadElem):
-            if self.field.radicand == other.field.radicand:
-                return self.rat == other.rat and self.surd == other.surd
-            if self.surd == 0 and other.surd == 0:
-                return self.rat == other.rat
-            raise FieldMismatchError(
-                "equality across different radicands is only defined for "
-                "rational-valued elements"
-            )
+            if (self._r or other._r) and other.field.radicand != self.field.radicand:
+                raise FieldMismatchError(
+                    "equality across different radicands is only defined for "
+                    "rational-valued elements"
+                )
+            return (self._p, self._r, self._d) == (other._p, other._r, other._d)
         if isinstance(other, (int, Fraction)):
-            return self.surd == 0 and self.rat == other
+            return self._r == 0 and (self._p, self._d) == (other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.surd == 0:
-            return hash(self.rat)
+        if self._r == 0:
+            return hash(Fraction(self._p, self._d))
         return hash((self.rat, self.surd, self.field.radicand))
 
-    def _cmp(self, other: object) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot order QuadElem against {type(other)!r}")
-        return (self - o).sign()
+    @_coerced
+    def __lt__(self, o: QuadElem) -> bool:
+        return (self - o).sign() < 0
 
-    def __lt__(self, other: object) -> bool:
-        return self._cmp(other) < 0
+    @_coerced
+    def __le__(self, o: QuadElem) -> bool:
+        return (self - o).sign() <= 0
 
-    def __le__(self, other: object) -> bool:
-        return self._cmp(other) <= 0
+    @_coerced
+    def __gt__(self, o: QuadElem) -> bool:
+        return (self - o).sign() > 0
 
-    def __gt__(self, other: object) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: object) -> bool:
-        return self._cmp(other) >= 0
+    @_coerced
+    def __ge__(self, o: QuadElem) -> bool:
+        return (self - o).sign() >= 0
 
     # -- rendering ----------------------------------------------------------
 
     def decimal(self, digits: int) -> str:
         """Correctly rounded decimal expansion with ``digits`` fractional digits.
 
-        Computed from exact data and rounded half-to-even: the irrational
-        case brackets sqrt(radicand) by integer square roots and refines the
-        enclosure until both endpoints round to the same digit string (no ties
-        can occur for an irrational value).
+        Rounded half-to-even from exact data: an irrational value brackets
+        sqrt(U) between k/10^prec and (k+1)/10^prec, k = isqrt(U*10^(2*prec)),
+        and refines until both ends round alike (an irrational has no ties).
         """
         if digits < 1:
             raise DomainError("digits must be >= 1")
-        if self.surd == 0:
-            return _decimal_of_fraction(self.rat, digits)
-        rad = self.field.radicand
-        u, v = rad.numerator, rad.denominator
-        scale = Fraction(10) ** digits
+        p, r, d = self._p, self._r, self._d
+        if r == 0:
+            return _decimal_of_ratio(p, d, digits)
+        scale = 10**digits
         prec = digits + 8
         while True:
             shift = 10**prec
-            k = isqrt(u * v * shift * shift)
-            lo = Fraction(k, v * shift)
-            hi = Fraction(k + 1, v * shift)
-            if self.surd > 0:
-                val_lo = self.rat + self.surd * lo
-                val_hi = self.rat + self.surd * hi
-            else:
-                val_lo = self.rat + self.surd * hi
-                val_hi = self.rat + self.surd * lo
-            n_lo = _round_half_even(val_lo * scale)
-            n_hi = _round_half_even(val_hi * scale)
-            if n_lo == n_hi:
-                return _format_scaled(n_lo, digits)
+            k = isqrt(self.field._int_radicand * shift * shift)
+            at_k = _round_half_even((p * shift + r * k) * scale, d * shift)
+            at_k1 = _round_half_even((p * shift + r * (k + 1)) * scale, d * shift)
+            if at_k == at_k1:
+                return _format_scaled(at_k, digits)
             prec += 8
 
     def __str__(self) -> str:
-        if self.surd == 0:
+        if self._r == 0:
             return str(self.rat)
-        rad = self.field.radicand
-        surd_txt = f"{abs(self.surd)}*sqrt({rad})"
-        if self.rat == 0:
-            return surd_txt if self.surd > 0 else f"-{surd_txt}"
-        op = "+" if self.surd > 0 else "-"
+        surd = self.surd
+        surd_txt = f"{abs(surd)}*sqrt({self.field.radicand})"
+        if self._p == 0:
+            return surd_txt if surd > 0 else f"-{surd_txt}"
+        op = "+" if surd > 0 else "-"
         return f"{self.rat} {op} {surd_txt}"
 
     def __repr__(self) -> str:
         return f"QuadElem({self.rat!r}, {self.surd!r}, sqrt={self.field.radicand!r})"
 
 
-def _round_half_even(x: Fraction) -> int:
-    """The integer nearest x, ties to even."""
-    whole, rem = divmod(x.numerator, x.denominator)
+def _round_half_even(num: int, den: int) -> int:
+    """The integer nearest num/den (den > 0), ties to even."""
+    whole, rem = divmod(num, den)
     double = 2 * rem
-    if double > x.denominator or (double == x.denominator and whole % 2 != 0):
+    if double > den or (double == den and whole % 2 != 0):
         whole += 1
     return whole
 
 
-def _decimal_of_fraction(x: Fraction, digits: int) -> str:
-    return _format_scaled(_round_half_even(x * Fraction(10) ** digits), digits)
+def _decimal_of_ratio(num: int, den: int, digits: int) -> str:
+    return _format_scaled(_round_half_even(num * 10**digits, den), digits)
 
 
 def _format_scaled(n: int, digits: int) -> str:
     sign = "-" if n < 0 else ""
-    magnitude = abs(n)
-    whole, frac = divmod(magnitude, 10**digits)
+    whole, frac = divmod(abs(n), 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
@@ -365,7 +369,8 @@ def sign_of(x: Union[Scalar, QuadElem]) -> int:
     """Exact sign of a rational or quadratic-field value."""
     if isinstance(x, QuadElem):
         return x.sign()
-    return _sgn(Fraction(x))
+    frac = Fraction(x)
+    return (frac > 0) - (frac < 0)
 
 
 def decimal_string(x: Union[Scalar, QuadElem], digits: int) -> str:
@@ -374,7 +379,8 @@ def decimal_string(x: Union[Scalar, QuadElem], digits: int) -> str:
         return x.decimal(digits)
     if digits < 1:
         raise DomainError("digits must be >= 1")
-    return _decimal_of_fraction(Fraction(x), digits)
+    frac = Fraction(x)
+    return _decimal_of_ratio(frac.numerator, frac.denominator, digits)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Tuple, Union
 
 from .cfrac import TwoPeriodicParams, atom_ratios
@@ -61,7 +60,11 @@ class GeometricAtomFamily:
 
     def moment(self, order: int) -> QuadElem:
         """Exact order-n moment by summing the geometric series in closed form."""
-        step = self.weight_ratio * self.location_ratio**order
+        return self._moment_at(order, self.location_ratio**order)
+
+    def _moment_at(self, order: int, power: QuadElem) -> QuadElem:
+        """The order-n moment, given ``power`` = location_ratio**order."""
+        step = self.weight_ratio * power
         one = self.scale.field.one
         value = self.scale * step / (one - step)
         if self.location_sign < 0 and order % 2 == 1:
@@ -112,19 +115,37 @@ class DiscreteSignedMeasure:
         """Exact order-n moment, in the measure's quadratic field."""
         if order < 0:
             raise DomainError("moment order must be >= 0")
-        total = self.field.zero
-        for atom in self.head_atoms:
-            total = total + atom.weight * atom.location**order
-        for fam in self.families:
-            total = total + fam.moment(order)
-        return total
+        heads = sum((a.weight * a.location**order for a in self.head_atoms), self.field.zero)
+        return sum((fam.moment(order) for fam in self.families), heads)
+
+    def moments(self, n_max: int) -> List[QuadElem]:
+        """Exact moments of orders 0..n_max, equal to ``moment(n)`` for each n.
+
+        Each distinct location ratio l, of head atoms and families alike,
+        carries l^n from one order to the next by one multiplication.
+        """
+        if n_max < 0:
+            raise DomainError("moment order must be >= 0")
+        heads, fams = self.head_atoms, self.families
+        sites = [a.location for a in heads] + [f.location_ratio for f in fams]
+        ratios = list(dict.fromkeys(sites))
+        slots = [ratios.index(site) for site in sites]
+        powers = [self.field.one] * len(ratios)
+        out = []
+        for order in range(n_max + 1):
+            if order:
+                powers = [power * ratio for power, ratio in zip(powers, ratios)]
+            at = [powers[i] for i in slots]
+            total = sum((a.weight * p for a, p in zip(heads, at)), self.field.zero)
+            for fam, power in zip(fams, at[len(heads):]):
+                total = total + fam._moment_at(order, power)
+            out.append(total)
+        return out
 
     def mass(self) -> QuadElem:
         return self.moment(0)
 
-    def truncated_moment(
-        self, order: int, terms: int
-    ) -> Tuple[QuadElem, QuadElem]:
+    def truncated_moment(self, order: int, terms: int) -> Tuple[QuadElem, QuadElem]:
         """Partial moment over the first ``terms`` atoms of each family.
 
         Returns (value, tail_bound).  The value literally sums the omitted
@@ -136,20 +157,17 @@ class DiscreteSignedMeasure:
             raise DomainError("moment order must be >= 0")
         if terms < 1:
             raise DomainError("terms must be >= 1")
-        value = self.field.zero
-        for atom in self.head_atoms:
-            value = value + atom.weight * atom.location**order
+        value = sum((a.weight * a.location**order for a in self.head_atoms), self.field.zero)
         bound = self.field.zero
         one = self.field.one
         for fam in self.families:
             step = fam.weight_ratio * fam.location_ratio**order
-            partial = _geometric_partial_sum(step, terms)
+            partial, last = _geometric_partial_sum(step, terms)
             if fam.location_sign < 0 and order % 2 == 1:
                 partial = -partial
             value = value + fam.scale * partial
-            abs_step = abs(step)
-            tail = abs(fam.scale) * abs_step ** (1 + terms)
-            bound = bound + tail / (one - abs_step)
+            tail = abs(fam.scale) * abs(last * step)
+            bound = bound + tail / (one - abs(step))
         return value, bound
 
     # -- structure -----------------------------------------------------------
@@ -229,39 +247,17 @@ class DiscreteSignedMeasure:
         return DiscreteSignedMeasure(self.field, heads, fams, self.bounded_support)
 
 
-def _geometric_partial_sum(step: QuadElem, terms: int) -> QuadElem:
-    """sum of step^m for m = 1 .. terms, by literal accumulation.
+def _geometric_partial_sum(step: QuadElem, terms: int) -> Tuple[QuadElem, QuadElem]:
+    """(S_terms, step^terms) for the partial sums S_m = step + ... + step^m.
 
-    Runs on integer triples (P, R, D) with step = (P + R*sqrt(U))/D and U an
-    integer radicand, deferring all normalisation to a single final Fraction
-    construction; the result is identical to summing QuadElem terms one by
-    one, just without per-step gcd work.
+    Term by term as S_m = step * (1 + S_{m-1}): a product by the small step
+    and an addition of 1 need no gcd of two large denominators, as adding
+    step^m would.  The last term walked is S_terms - S_(terms-1).
     """
-    fld = step.field
-    rad = fld.radicand
-    u, v = rad.numerator, rad.denominator
-    big_rad = u * v  # sqrt(u/v) = sqrt(u*v)/v
-    c_rat = step.rat
-    c_surd = step.surd / v
-    den = lcm(c_rat.denominator, c_surd.denominator)
-    p_step = c_rat.numerator * (den // c_rat.denominator)
-    r_step = c_surd.numerator * (den // c_surd.denominator)
-    # current term = (p + r*sqrt(U)) / den^expo, starting at step^1
-    p_cur, r_cur, expo = p_step, r_step, 1
-    sum_p, sum_r = 0, 0
-    for i in range(terms):
-        sum_p = sum_p * den + p_cur
-        sum_r = sum_r * den + r_cur
-        if i + 1 < terms:
-            p_cur, r_cur = (
-                p_cur * p_step + r_cur * r_step * big_rad,
-                p_cur * r_step + r_cur * p_step,
-            )
-            expo += 1
-    total_den = den**expo
-    return fld.element(
-        Fraction(sum_p, total_den), Fraction(sum_r * v, total_den)
-    )
+    previous, total = step.field.zero, step
+    for _ in range(terms - 1):
+        previous, total = total, (total + 1) * step
+    return total, total - previous
 
 
 def collect_atoms(

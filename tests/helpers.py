@@ -5,11 +5,19 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import isqrt
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from cfmoments.cfrac import TwoPeriodicParams
+from cfmoments.exactnum import (
+    DomainError,
+    FieldMismatchError,
+    InvariantError,
+    Scalar,
+    rational_sqrt,
+)
 
 
 def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -158,3 +166,271 @@ period_fractions = st.fractions(
 )
 seed_fractions = st.fractions(min_value=0, max_value=3, max_denominator=6)
 param_triples = st.builds(TwoPeriodicParams, period_fractions, period_fractions, seed_fractions)
+
+
+# -- QuadElem oracle: the two-Fraction representation ------------------------
+
+
+class PairField:
+    """The radicand, its rational root (None unless a perfect square) and the
+    element constructor that :class:`PairElem` needs."""
+
+    def __init__(self, radicand: Scalar) -> None:
+        self.radicand = Fraction(radicand)
+        self.root = rational_sqrt(self.radicand)
+
+    def element(self, rat: Scalar = 0, surd: Scalar = 0) -> PairElem:
+        return PairElem(self, Fraction(rat), Fraction(surd))
+
+    @property
+    def one(self) -> PairElem:
+        return self.element(1)
+
+
+def _pair_sgn(x: Fraction) -> int:
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+
+
+class PairElem:
+    """``rat + surd*sqrt(radicand)`` stored as two Fractions, each operation
+    written from its textbook formula: the oracle for ``exactnum.QuadElem``."""
+
+    __slots__ = ("field", "rat", "surd")
+
+    def __init__(self, field: PairField, rat: Fraction, surd: Fraction) -> None:
+        if surd != 0 and field.root is not None:
+            rat = rat + surd * field.root
+            surd = Fraction(0)
+        self.field = field
+        self.rat = rat
+        self.surd = surd
+
+    # -- coercion ----------------------------------------------------------
+
+    def _coerce(self, other: object) -> Optional[PairElem]:
+        if isinstance(other, PairElem):
+            if other.field.radicand != self.field.radicand:
+                raise FieldMismatchError(
+                    f"cannot combine sqrt({self.field.radicand}) with "
+                    f"sqrt({other.field.radicand}) elements"
+                )
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.field.element(other)
+        return None
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other: object) -> PairElem:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return PairElem(self.field, self.rat + o.rat, self.surd + o.surd)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> PairElem:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return PairElem(self.field, self.rat - o.rat, self.surd - o.surd)
+
+    def __rsub__(self, other: object) -> PairElem:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self) -> PairElem:
+        return PairElem(self.field, -self.rat, -self.surd)
+
+    def __mul__(self, other: object) -> PairElem:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        rad = self.field.radicand
+        return PairElem(
+            self.field,
+            self.rat * o.rat + self.surd * o.surd * rad,
+            self.rat * o.surd + self.surd * o.rat,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> PairElem:
+        """Multiplicative inverse via the conjugate: 1/(p+r*sqrt(d)) = (p-r*sqrt(d))/(p^2-r^2*d)."""
+        norm = self.rat * self.rat - self.surd * self.surd * self.field.radicand
+        if norm == 0:
+            if self.rat == 0 and self.surd == 0:
+                raise ZeroDivisionError("inverse of zero quadratic element")
+            raise InvariantError(
+                "zero norm for a nonzero element; radicand failed to fold"
+            )
+        return PairElem(self.field, self.rat / norm, -self.surd / norm)
+
+    def __truediv__(self, other: object) -> PairElem:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other: object) -> PairElem:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, exponent: int) -> PairElem:
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = self.field.one
+        base = self
+        n = exponent
+        while n > 0:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __abs__(self) -> PairElem:
+        return -self if self.sign() < 0 else self
+
+    # -- exact decisions ----------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign of p + r*sqrt(d), decided by comparing p^2 against r^2*d."""
+        p, r = self.rat, self.surd
+        if r == 0:
+            return _pair_sgn(p)
+        if p == 0:
+            return _pair_sgn(r)
+        sp, sr = _pair_sgn(p), _pair_sgn(r)
+        if sp == sr:
+            return sp
+        gap = p * p - r * r * self.field.radicand
+        if gap > 0:
+            return sp
+        if gap < 0:
+            return sr
+        raise InvariantError("p^2 == r^2*d with r != 0: radicand failed to fold")
+
+    @property
+    def is_rational(self) -> bool:
+        return self.surd == 0
+
+    def as_fraction(self) -> Fraction:
+        if self.surd != 0:
+            raise DomainError(f"{self} has a nonzero surd part")
+        return self.rat
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PairElem):
+            if self.field.radicand == other.field.radicand:
+                return self.rat == other.rat and self.surd == other.surd
+            if self.surd == 0 and other.surd == 0:
+                return self.rat == other.rat
+            raise FieldMismatchError(
+                "equality across different radicands is only defined for "
+                "rational-valued elements"
+            )
+        if isinstance(other, (int, Fraction)):
+            return self.surd == 0 and self.rat == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self.surd == 0:
+            return hash(self.rat)
+        return hash((self.rat, self.surd, self.field.radicand))
+
+    def _cmp(self, other: object) -> int:
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot order PairElem against {type(other)!r}")
+        return (self - o).sign()
+
+    def __lt__(self, other: object) -> bool:
+        return self._cmp(other) < 0
+
+    def __le__(self, other: object) -> bool:
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other: object) -> bool:
+        return self._cmp(other) > 0
+
+    def __ge__(self, other: object) -> bool:
+        return self._cmp(other) >= 0
+
+    # -- rendering ----------------------------------------------------------
+
+    def decimal(self, digits: int) -> str:
+        """Correctly rounded decimal expansion with ``digits`` fractional digits.
+
+        Computed from exact data and rounded half-to-even: the irrational
+        case brackets sqrt(radicand) by integer square roots and refines the
+        enclosure until both endpoints round to the same digit string (no ties
+        can occur for an irrational value).
+        """
+        if digits < 1:
+            raise DomainError("digits must be >= 1")
+        if self.surd == 0:
+            return _pair_decimal_of_fraction(self.rat, digits)
+        rad = self.field.radicand
+        u, v = rad.numerator, rad.denominator
+        scale = Fraction(10) ** digits
+        prec = digits + 8
+        while True:
+            shift = 10**prec
+            k = isqrt(u * v * shift * shift)
+            lo = Fraction(k, v * shift)
+            hi = Fraction(k + 1, v * shift)
+            if self.surd > 0:
+                val_lo = self.rat + self.surd * lo
+                val_hi = self.rat + self.surd * hi
+            else:
+                val_lo = self.rat + self.surd * hi
+                val_hi = self.rat + self.surd * lo
+            n_lo = _pair_round_half_even(val_lo * scale)
+            n_hi = _pair_round_half_even(val_hi * scale)
+            if n_lo == n_hi:
+                return _pair_format_scaled(n_lo, digits)
+            prec += 8
+
+    def __str__(self) -> str:
+        if self.surd == 0:
+            return str(self.rat)
+        rad = self.field.radicand
+        surd_txt = f"{abs(self.surd)}*sqrt({rad})"
+        if self.rat == 0:
+            return surd_txt if self.surd > 0 else f"-{surd_txt}"
+        op = "+" if self.surd > 0 else "-"
+        return f"{self.rat} {op} {surd_txt}"
+
+    def __repr__(self) -> str:
+        return f"QuadElem({self.rat!r}, {self.surd!r}, sqrt={self.field.radicand!r})"
+
+
+def _pair_round_half_even(x: Fraction) -> int:
+    """The integer nearest x, ties to even."""
+    whole, rem = divmod(x.numerator, x.denominator)
+    double = 2 * rem
+    if double > x.denominator or (double == x.denominator and whole % 2 != 0):
+        whole += 1
+    return whole
+
+
+def _pair_decimal_of_fraction(x: Fraction, digits: int) -> str:
+    return _pair_format_scaled(_pair_round_half_even(x * Fraction(10) ** digits), digits)
+
+
+def _pair_format_scaled(n: int, digits: int) -> str:
+    sign = "-" if n < 0 else ""
+    magnitude = abs(n)
+    whole, frac = divmod(magnitude, 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -88,6 +89,25 @@ def test_verify_with_truncation_cross_check(capsys):
         assert row["match"] is True
         assert row["within_bound"] is True
         assert "truncated" in row and "tail_bound" in row
+
+
+# sha256 of stdout as recorded from the two-Fraction QuadElem; a = 1e-28
+# makes every radicand, partial sum and tail bound a large integer triple
+TRUNCATE_LARGE_OPERANDS = {
+    "plain": "60c3ee69e4026a3d500e79435225e64d1edb895a2cbccc05a2cfa3fe149200e3",
+    "csv": "6d777ed5b8f1752747081d183bae7a5c1b17bce08e27afd156603692968ee84c",
+    "json": "dd9a1de9a0a7ac3d3d539b1e20baa54e3536efd83ad0aaeed84d4f13242245ab",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TRUNCATE_LARGE_OPERANDS))
+def test_verify_truncate_stdout_is_pinned_on_large_operands(capsys, fmt):
+    code, out, _ = run(
+        capsys, "verify", "--a", "1e-28", "--b", "3/2", "--w", "1/3",
+        "--n-max", "8", "--truncate", "6", "--format", fmt,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TRUNCATE_LARGE_OPERANDS[fmt]
 
 
 def test_verify_zeroth_moment_is_seed(capsys):

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 from cfmoments.exactnum import (
     DomainError,
     FieldMismatchError,
+    InvariantError,
     QuadField,
     decimal_string,
     parse_rational,
     rational_sqrt,
     sign_of,
 )
+
+from helpers import PairField
 
 RADICANDS = [F(2), F(5), F(7), F(45), F(252), F(64, 9)]
 
@@ -217,3 +221,102 @@ def test_decimal_agrees_with_enclosure_width(xs):
     short = x.decimal(4)
     long = x.decimal(9)
     assert abs(F(short) - F(long)) <= F(1, 10**4)
+
+
+# -- integer triples against the two-Fraction oracle ---------------------------
+
+# integer, non-integer rational, perfect-square (folding) and zero radicands
+ORACLE_RADICANDS = [F(2), F(5), F(45), F(252), F(7, 4), F(5, 9), F(2, 3), F(64, 9), F(4), F(0)]
+ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+# large parts make decimal() refine its first enclosure of sqrt(U)
+oracle_parts = st.one_of(
+    parts, st.fractions(min_value=-10**15, max_value=10**15, max_denominator=1000)
+)
+
+
+@st.composite
+def oracle_pairs(draw, count=2):
+    """``count`` (QuadElem, oracle) pairs of equal value over one radicand."""
+    radicand = draw(st.sampled_from(ORACLE_RADICANDS))
+    fld, oracle = QuadField(radicand), PairField(radicand)
+    values = [(draw(oracle_parts), draw(oracle_parts)) for _ in range(count)]
+    return [(fld.element(*v), oracle.element(*v)) for v in values]
+
+
+def assert_same(x, oracle):
+    assert (x.rat, x.surd) == (oracle.rat, oracle.surd)
+    # == compares triples, so this also checks that x's triple is reduced
+    assert x == x.field.element(oracle.rat, oracle.surd)
+    assert (str(x), repr(x), hash(x)) == (str(oracle), repr(oracle), hash(oracle))
+    assert x.is_rational == (oracle.surd == 0)
+
+
+def assert_same_outcome(compute, oracle_compute):
+    """Both return equal values, or both raise the same exception type."""
+    results = []
+    for run in (compute, oracle_compute):
+        try:
+            results.append(run())
+        except (ZeroDivisionError, InvariantError, FieldMismatchError) as exc:
+            results.append(type(exc))
+    got, want = results
+    if isinstance(want, (type, bool)):
+        assert got is want
+    else:
+        assert_same(got, want)
+
+
+@given(oracle_pairs(), st.integers(min_value=-4, max_value=6),
+       st.integers(min_value=1, max_value=40), parts)
+def test_triples_match_the_fraction_pair_oracle(pairs, exponent, digits, scalar):
+    (x, ox), (y, oy) = pairs
+    operands = [(x, y, ox, oy), (x, scalar, ox, scalar), (scalar, x, scalar, ox),
+                (x, 3, ox, 3), (-2, x, -2, ox)]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.eq, operator.ne, *ORDERINGS):
+        for left, right, o_left, o_right in operands:
+            assert_same_outcome(lambda: op(left, right), lambda: op(o_left, o_right))
+    for a, oa in pairs:
+        assert_same(a, oa)
+        assert_same(-a, -oa)
+        assert_same(abs(a), abs(oa))
+        assert a.sign() == oa.sign()
+        assert a.decimal(digits) == oa.decimal(digits)
+        for other in (0, 1, -2, oa.rat, F(1, 3)):
+            assert (a == other) == (oa == other)
+        assert_same_outcome(a.inverse, oa.inverse)
+        assert_same_outcome(lambda: a**exponent, lambda: oa**exponent)
+
+
+@given(oracle_pairs(count=1), oracle_pairs(count=1))
+def test_mixed_fields_fail_like_the_oracle(first, second):
+    ((x, ox),), ((y, oy),) = first, second
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.eq, *ORDERINGS):
+        assert_same_outcome(lambda: op(x, y), lambda: op(ox, oy))
+
+
+def test_zero_and_zero_norm_errors_match_the_oracle():
+    fld, oracle = QuadField(5), PairField(5)
+    for zero in (fld.zero, oracle.element(0)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
+    # a perfect-square radicand whose fold was skipped: 2 - 1*sqrt(4) is
+    # nonzero as a pair yet has zero norm, which both must report
+    unfolded, oracle_unfolded = QuadField(4), PairField(4)
+    unfolded.root = oracle_unfolded.root = None
+    for broken in (unfolded.element(2, -1), oracle_unfolded.element(2, -1)):
+        with pytest.raises(InvariantError):
+            broken.inverse()
+        with pytest.raises(InvariantError):
+            broken.sign()
+
+
+def test_perfect_square_and_zero_radicands_fold():
+    for radicand, root in ((F(64, 9), F(8, 3)), (F(4), 2), (F(9, 4), F(3, 2)), (F(0), 0)):
+        x = QuadField(radicand).element(F(1, 2), F(3, 5))
+        assert x.surd == 0 and x.is_rational
+        assert x == F(1, 2) + F(3, 5) * root
+        assert str(x) == str(F(1, 2) + F(3, 5) * root)

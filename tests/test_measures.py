@@ -15,6 +15,7 @@ from cfmoments.measures import (
     collect_atoms,
     even_odd_measures,
     moment_measure,
+    _geometric_partial_sum,
 )
 
 from helpers import fib, param_triples
@@ -156,6 +157,37 @@ def test_shifted_measure_moments_are_shifted_ratios(coeff):
     seq = generalized_fibonacci(coeff, 24)
     for n in range(21):
         assert shifted.moment(n) == seq[n + 3] / seq[n + 2]
+
+
+def sweep_matches_single_orders(measure, n_max):
+    assert measure.moments(n_max) == [measure.moment(n) for n in range(n_max + 1)]
+
+
+@settings(max_examples=40)
+@given(param_triples, st.integers(min_value=0, max_value=25))
+def test_moment_sweep_matches_single_orders(params, n_max):
+    rho = moment_measure(params)
+    for measure in (rho, rho.reflected(), rho.with_head(F(-1, 2), 3)):
+        sweep_matches_single_orders(measure, n_max)
+
+
+def test_moment_sweep_on_head_only_and_fixed_measures():
+    for n_max in (0, 1, 30):
+        sweep_matches_single_orders(binet_measure(), n_max)  # atoms outside [-1, 1]
+        for params in SAMPLE_PARAMS:  # includes the degenerate-field triple
+            sweep_matches_single_orders(moment_measure(params), n_max)
+    assert binet_measure().moments(0) == [1]
+    with pytest.raises(DomainError):
+        binet_measure().moments(-1)
+
+
+@given(param_triples, st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=30))
+def test_partial_sum_matches_summed_powers(params, order, terms):
+    ratios = atom_ratios(params)
+    step = ratios.odd_weight * ratios.location**order
+    total, last = _geometric_partial_sum(step, terms)
+    assert last == step**terms
+    assert total == sum((step**m for m in range(1, terms + 1)), step.field.zero)
 
 
 def test_truncation_respects_its_own_bound():
