@@ -100,7 +100,7 @@ class QuadField:
         if direct is not None:
             return self.element(direct)
         scale = rational_sqrt(self.radicand / frac)
-        if scale is None:
+        if not scale:
             raise DomainError(
                 f"sqrt({frac}) does not lie in Q(sqrt({self.radicand}))"
             )

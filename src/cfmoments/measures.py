@@ -12,14 +12,15 @@ denotes
     sum over m >= 1 of  (s * g^m) * delta at (o * l^m),
 
 so its order-n moment is s * o^n * g*l^n / (1 - g*l^n), a plain geometric
-series.
+series.  Families sharing (g, l) share that series, so one sweep over the
+orders computes it once per group, times the group's sum of s or of o*s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple, TypeVar, Union
 
 from .cfrac import TwoPeriodicParams, atom_ratios
 from .exactnum import (
@@ -29,6 +30,9 @@ from .exactnum import (
     QuadField,
     Scalar,
 )
+
+
+_Key = TypeVar("_Key", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -57,19 +61,6 @@ class GeometricAtomFamily:
             location=self.location_sign * self.location_ratio**m,
             weight=self.scale * self.weight_ratio**m,
         )
-
-    def moment(self, order: int) -> QuadElem:
-        """Exact order-n moment by summing the geometric series in closed form."""
-        return self._moment_at(order, self.location_ratio**order)
-
-    def _moment_at(self, order: int, power: QuadElem) -> QuadElem:
-        """The order-n moment, given ``power`` = location_ratio**order."""
-        step = self.weight_ratio * power
-        one = self.scale.field.one
-        value = self.scale * step / (one - step)
-        if self.location_sign < 0 and order % 2 == 1:
-            value = -value
-        return value
 
 
 @dataclass(frozen=True)
@@ -113,34 +104,19 @@ class DiscreteSignedMeasure:
 
     def moment(self, order: int) -> QuadElem:
         """Exact order-n moment, in the measure's quadratic field."""
-        if order < 0:
-            raise DomainError("moment order must be >= 0")
-        heads = sum((a.weight * a.location**order for a in self.head_atoms), self.field.zero)
-        return sum((fam.moment(order) for fam in self.families), heads)
+        return next(self._moment_sweep(order, order))
 
     def moments(self, n_max: int) -> List[QuadElem]:
-        """Exact moments of orders 0..n_max, equal to ``moment(n)`` for each n.
+        """Exact moments of orders 0..n_max, equal to ``moment(n)`` for each n."""
+        return list(self._moment_sweep(0, n_max))
 
-        Each distinct location ratio l, of head atoms and families alike,
-        carries l^n from one order to the next by one multiplication.
-        """
-        if n_max < 0:
-            raise DomainError("moment order must be >= 0")
-        heads, fams = self.head_atoms, self.families
-        sites = [a.location for a in heads] + [f.location_ratio for f in fams]
-        ratios = list(dict.fromkeys(sites))
-        slots = [ratios.index(site) for site in sites]
-        powers = [self.field.one] * len(ratios)
-        out = []
-        for order in range(n_max + 1):
-            if order:
-                powers = [power * ratio for power, ratio in zip(powers, ratios)]
-            at = [powers[i] for i in slots]
-            total = sum((a.weight * p for a, p in zip(heads, at)), self.field.zero)
-            for fam, power in zip(fams, at[len(heads):]):
-                total = total + fam._moment_at(order, power)
-            out.append(total)
-        return out
+    def _moment_sweep(self, first: int, last: int) -> Iterator[QuadElem]:
+        """Moments of orders first..last: each group adds coeff * step/(1 - step)."""
+        for total, groups in self._sweep(first, last):
+            for coeff, _, step in groups:
+                if coeff != 0:
+                    total = total + coeff * step / (1 - step)
+            yield total
 
     def mass(self) -> QuadElem:
         return self.moment(0)
@@ -148,27 +124,58 @@ class DiscreteSignedMeasure:
     def truncated_moment(self, order: int, terms: int) -> Tuple[QuadElem, QuadElem]:
         """Partial moment over the first ``terms`` atoms of each family.
 
-        Returns (value, tail_bound).  The value literally sums the omitted
+        Returns (value, tail_bound).  The value literally sums each group's
         series term by term (head atoms are exact), making it an independent
         check on :meth:`moment`; the bound dominates everything left out:
-        sum of |scale| * |g*l^n|^(1+terms) / (1 - |g*l^n|) per family.
+        sum of |scale| * |g*l^n|^(1+terms) / (1 - |g*l^n|) per family, taken
+        once per group as its bound weight times the group's tail.
         """
-        if order < 0:
-            raise DomainError("moment order must be >= 0")
+        value, groups = next(self._sweep(order, order))
         if terms < 1:
             raise DomainError("terms must be >= 1")
-        value = sum((a.weight * a.location**order for a in self.head_atoms), self.field.zero)
         bound = self.field.zero
-        one = self.field.one
-        for fam in self.families:
-            step = fam.weight_ratio * fam.location_ratio**order
+        for coeff, weight, step in groups:
             partial, last = _geometric_partial_sum(step, terms)
-            if fam.location_sign < 0 and order % 2 == 1:
-                partial = -partial
-            value = value + fam.scale * partial
-            tail = abs(fam.scale) * abs(last * step)
-            bound = bound + tail / (one - abs(step))
+            value = value + coeff * partial
+            bound = bound + weight * abs(last * step) / (1 - abs(step))
         return value, bound
+
+    def _sweep(
+        self, first: int, last: int
+    ) -> Iterator[Tuple[QuadElem, List[Tuple[QuadElem, QuadElem, QuadElem]]]]:
+        """For each order n in first..last (first is 0 or last, so only a last
+        below 0 raises): the head-atom moment and, for each group of families
+        sharing (weight ratio g, location ratio l), (coefficient at the parity
+        of n, bound weight, step g*l^n).  The coefficients sum the group's scales s (even n) or
+        o*s (odd n, o the location sign); the bound weight sums |s|.  Each
+        distinct location ratio is raised by ``**`` once, at ``first``, then
+        carried to each next order by one multiplication.
+        """
+        if last < 0:
+            raise DomainError("moment order must be >= 0")
+        zero = self.field.zero
+        cells: Dict[Tuple[QuadElem, QuadElem], List[QuadElem]] = {}
+        for fam in self.families:
+            s = fam.scale
+            cell = cells.setdefault((fam.weight_ratio, fam.location_ratio), [zero, zero, zero])
+            cell[0] = cell[0] + s
+            cell[1] = cell[1] + (s if fam.location_sign > 0 else -s)
+            cell[2] = cell[2] + abs(s)
+        heads = self.head_atoms
+        sites = [a.location for a in heads] + [ratio for _, ratio in cells]
+        ratios = list(dict.fromkeys(sites))
+        slots = [ratios.index(site) for site in sites]
+        powers = [ratio**first for ratio in ratios]
+        for order in range(first, last + 1):
+            if order > first:
+                powers = [power * ratio for power, ratio in zip(powers, ratios)]
+            at = [powers[i] for i in slots]
+            moment = sum((a.weight * p for a, p in zip(heads, at)), zero)
+            groups = [
+                (cell[order % 2], cell[2], weight_ratio * power)
+                for ((weight_ratio, _), cell), power in zip(cells.items(), at[len(heads):])
+            ]
+            yield moment, groups
 
     # -- structure -----------------------------------------------------------
 
@@ -216,33 +223,18 @@ class DiscreteSignedMeasure:
         """Merge co-located head atoms and identical families, drop zero terms,
         sort deterministically.  Structural equality of canonical forms is the
         measure-equality test used throughout."""
-        merged_heads: Dict[QuadElem, QuadElem] = {}
-        for atom in self.head_atoms:
-            if atom.location in merged_heads:
-                merged_heads[atom.location] = merged_heads[atom.location] + atom.weight
-            else:
-                merged_heads[atom.location] = atom.weight
         heads = tuple(
-            Atom(loc, merged_heads[loc])
-            for loc in sorted(merged_heads)
-            if merged_heads[loc] != 0
+            Atom(loc, weight)
+            for loc, weight in _merged((a.location, a.weight) for a in self.head_atoms)
         )
-        merged_fams: Dict[Tuple[QuadElem, QuadElem, int], QuadElem] = {}
-        for fam in self.families:
-            key = (fam.weight_ratio, fam.location_ratio, fam.location_sign)
-            if key in merged_fams:
-                merged_fams[key] = merged_fams[key] + fam.scale
-            else:
-                merged_fams[key] = fam.scale
+        keyed = (
+            ((f.weight_ratio, f.location_ratio, f.location_sign), f.scale)
+            for f in self.families
+            if f.weight_ratio != 0
+        )
         fams = tuple(
-            GeometricAtomFamily(
-                scale=merged_fams[key],
-                weight_ratio=key[0],
-                location_ratio=key[1],
-                location_sign=key[2],
-            )
-            for key in sorted(merged_fams)
-            if merged_fams[key] != 0 and key[0] != 0
+            GeometricAtomFamily(scale, weight_ratio, location_ratio, location_sign)
+            for (weight_ratio, location_ratio, location_sign), scale in _merged(keyed)
         )
         return DiscreteSignedMeasure(self.field, heads, fams, self.bounded_support)
 
@@ -269,16 +261,21 @@ def collect_atoms(
     patterns and for comparing two symbolic presentations of one measure on
     a finite window.
     """
-    merged: Dict[QuadElem, QuadElem] = {}
-    for atom in measure.head_atoms:
-        merged[atom.location] = merged.get(atom.location, measure.field.zero) + atom.weight
+    atoms = list(measure.head_atoms)
     for fam in measure.families:
-        for k in range(max_exponent):
-            atom = fam.atom(k)
-            merged[atom.location] = (
-                merged.get(atom.location, measure.field.zero) + atom.weight
-            )
-    return [Atom(loc, merged[loc]) for loc in sorted(merged) if merged[loc] != 0]
+        atoms += (fam.atom(k) for k in range(max_exponent))
+    return [Atom(loc, weight) for loc, weight in _merged((a.location, a.weight) for a in atoms)]
+
+
+def _merged(items: Iterable[Tuple[_Key, QuadElem]]) -> List[Tuple[_Key, QuadElem]]:
+    """(key, sum of its values) for each distinct key, sorted by key, zero sums
+    dropped.  Values collect in one list per key, so each item costs a single
+    dict lookup and each key one hash per occurrence."""
+    cells: Dict[_Key, List[QuadElem]] = {}
+    for key, value in items:
+        cells.setdefault(key, []).append(value)
+    totals = ((key, sum(values[1:], values[0])) for key, values in cells.items())
+    return sorted(((key, total) for key, total in totals if total != 0), key=lambda item: item[0])
 
 
 # -- constructors -------------------------------------------------------------

@@ -15,9 +15,11 @@ from cfmoments.exactnum import (
     DomainError,
     FieldMismatchError,
     InvariantError,
+    QuadElem,
     Scalar,
     rational_sqrt,
 )
+from cfmoments.measures import DiscreteSignedMeasure
 
 
 def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -129,6 +131,32 @@ def fibonacci_by_three_term(coeff: Fraction, n_max: int) -> List[Fraction]:
     for n in range(1, n_max):
         seq.append(coeff * seq[n] + seq[n - 1])
     return seq[: n_max + 1]
+
+
+def moment_by_families(measure: DiscreteSignedMeasure, n: int) -> QuadElem:
+    """Order-n moment: head atoms by ``**``, then each family's closed form
+    s * o^n * step/(1 - step) with step = g*l^n, one family at a time."""
+    total = sum((a.weight * a.location**n for a in measure.head_atoms), measure.field.zero)
+    for fam in measure.families:
+        step = fam.weight_ratio * fam.location_ratio**n
+        total = total + fam.location_sign**n * fam.scale * step / (1 - step)
+    return total
+
+
+def truncated_by_families(
+    measure: DiscreteSignedMeasure, n: int, terms: int
+) -> Tuple[QuadElem, QuadElem]:
+    """(value, tail bound): each family's first ``terms`` atoms summed term by
+    term, and the bound |s| * |step|^(1+terms) / (1 - |step|) per family."""
+    zero = measure.field.zero
+    value = sum((a.weight * a.location**n for a in measure.head_atoms), zero)
+    bound = zero
+    for fam in measure.families:
+        step = fam.weight_ratio * fam.location_ratio**n
+        partial = sum((step**m for m in range(1, terms + 1)), zero)
+        value = value + fam.location_sign**n * fam.scale * partial
+        bound = bound + abs(fam.scale) * abs(step) ** (1 + terms) / (1 - abs(step))
+    return value, bound
 
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

@@ -88,6 +88,15 @@ def test_sqrt_embedding():
         fld.sqrt(-1)
 
 
+def test_sqrt_in_the_zero_radicand_field():
+    fld = QuadField(0)
+    assert fld.sqrt(F(9, 4)) == F(3, 2)
+    assert fld.sqrt(0) == 0
+    for x in (2, F(1, 3)):  # radicand/x is the square 0, which has no inverse
+        with pytest.raises(DomainError, match="does not lie in"):
+            fld.sqrt(x)
+
+
 def test_sign_examples():
     fld = QuadField(5)
     assert fld.element(-2, 1).sign() == 1

@@ -18,7 +18,7 @@ from cfmoments.measures import (
     _geometric_partial_sum,
 )
 
-from helpers import fib, param_triples
+from helpers import fib, moment_by_families, param_triples, truncated_by_families
 
 SAMPLE_PARAMS = [
     TwoPeriodicParams(1, 1, 0),
@@ -117,11 +117,12 @@ def test_assembly_from_reflections_matches_closed_form(params):
     assert assembled == moment_measure(params)
 
 
-def test_golden_ratio_measure_closed_form():
-    # phi*delta_1 + sqrt(5) * sum_k phi^(4k) delta_((-1)^k phi^(2k)), k >= 1
+def golden_ratio_measure():
+    """phi*delta_1 + sqrt(5) * sum_k phi^(4k) delta_((-1)^k phi^(2k)), k >= 1:
+    one family, with a negative location ratio."""
     fld = QuadField(5)
     phi = fld.element(F(-1, 2), F(1, 2))
-    alternating = DiscreteSignedMeasure(
+    return DiscreteSignedMeasure(
         fld,
         (Atom(fld.one, phi),),
         (
@@ -132,6 +133,10 @@ def test_golden_ratio_measure_closed_form():
             ),
         ),
     )
+
+
+def test_golden_ratio_measure_closed_form():
+    alternating = golden_ratio_measure()
     rho = moment_measure(TwoPeriodicParams(1, 1, 1))
     assert alternating.mass() == 1
     assert rho.mass() == 1
@@ -179,6 +184,46 @@ def test_moment_sweep_on_head_only_and_fixed_measures():
     assert binet_measure().moments(0) == [1]
     with pytest.raises(DomainError):
         binet_measure().moments(-1)
+
+
+def sweeps_match_families(measure, n, terms):
+    assert measure.moment(n) == moment_by_families(measure, n)
+    assert measure.moments(n) == [moment_by_families(measure, k) for k in range(n + 1)]
+    assert measure.truncated_moment(n, terms) == truncated_by_families(measure, n, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(param_triples, st.integers(min_value=0, max_value=16), st.integers(min_value=1, max_value=12))
+def test_moment_sweeps_match_the_per_family_oracles(params, n, terms):
+    rho = moment_measure(params)
+    for measure in (rho, rho.reflected(), rho.with_head(F(-1, 2), 3), rho + rho.scaled(-1)):
+        sweeps_match_families(measure, n, terms)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 16])
+def test_moment_sweeps_match_the_per_family_oracles_on_fixed_measures(n):
+    degenerate = moment_measure(SAMPLE_PARAMS[-1])
+    for measure in (binet_measure(), golden_ratio_measure(), degenerate):
+        for terms in (1, 5):
+            sweeps_match_families(measure, n, terms)
+
+
+def test_groups_whose_coefficients_cancel_still_bound_the_tail():
+    rho = moment_measure(TwoPeriodicParams(2, 7, 1))
+    null = rho + rho.scaled(-1)  # not canonical: every group's coefficients sum to 0
+    for n in (0, 1, 4):
+        value, bound = null.truncated_moment(n, 3)
+        assert null.moment(n) == 0 and value == 0
+        assert bound > 0 and bound == 2 * rho.truncated_moment(n, 3)[1]
+
+
+def test_negative_order_is_rejected_before_terms():
+    rho = moment_measure(TwoPeriodicParams(1, 1, 1))
+    for call in (rho.moment, rho.moments, lambda n: rho.truncated_moment(n, 0)):
+        with pytest.raises(DomainError, match="moment order must be >= 0"):
+            call(-1)
+    with pytest.raises(DomainError, match="terms must be >= 1"):
+        rho.truncated_moment(0, 0)
 
 
 @given(param_triples, st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=30))
