@@ -128,15 +128,20 @@ class DiscreteSignedMeasure:
         series term by term (head atoms are exact), making it an independent
         check on :meth:`moment`; the bound dominates everything left out:
         sum of |scale| * |g*l^n|^(1+terms) / (1 - |g*l^n|) per family, taken
-        once per group as its bound weight times the group's tail.
+        once per group as its bound weight times the group's tail.  A group
+        whose coefficient at this order's parity is 0 adds nothing to the
+        value, so only its step^terms is taken, by binary powering.
         """
         value, groups = next(self._sweep(order, order))
         if terms < 1:
             raise DomainError("terms must be >= 1")
         bound = self.field.zero
         for coeff, weight, step in groups:
-            partial, last = _geometric_partial_sum(step, terms)
-            value = value + coeff * partial
+            if coeff == 0:
+                last = step**terms
+            else:
+                partial, last = _geometric_partial_sum(step, terms)
+                value = value + coeff * partial
             bound = bound + weight * abs(last * step) / (1 - abs(step))
         return value, bound
 

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from cfmoments.cfrac import TwoPeriodicParams
+from cfmoments.cfrac import TwoPeriodicParams, kperiodic_convergents
 from cfmoments.exactnum import (
     DomainError,
     FieldMismatchError,
@@ -19,6 +19,7 @@ from cfmoments.exactnum import (
     Scalar,
     rational_sqrt,
 )
+from cfmoments.hankel import PsdResult, ScanReport, hankel_matrix, psd_check
 from cfmoments.measures import DiscreteSignedMeasure
 
 
@@ -82,6 +83,100 @@ def psd_by_char_poly(rows: Sequence[Sequence[Fraction]]) -> bool:
     """A symmetric M is PSD iff every (-1)^k * c_k of det(xI - M) is >= 0."""
     coeffs = char_poly(rows)
     return all((-1) ** k * c >= 0 for k, c in enumerate(coeffs))
+
+
+def negative_witness_eager(
+    rows: List[List[Fraction]],
+) -> Tuple[Optional[Tuple[Fraction, ...]], List[Fraction]]:
+    """Congruence elimination that updates every active row's basis vector at
+    every pivot step, O(n^3) Fraction work whether or not a witness is found;
+    returns (witness or None, positive pivots taken)."""
+    n = len(rows)
+    c = [list(row) for row in rows]
+    basis = [
+        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
+    ]
+    active = list(range(n))
+    pivots: List[Fraction] = []
+    while active:
+        pivot = None
+        for i in active:
+            if c[i][i] < 0:
+                return tuple(basis[i]), pivots
+            if c[i][i] > 0 and pivot is None:
+                pivot = i
+        if pivot is None:
+            for i in active:
+                for j in active:
+                    if i < j and c[i][j] != 0:
+                        sign = 1 if c[i][j] > 0 else -1
+                        return (
+                            tuple(basis[i][t] - sign * basis[j][t] for t in range(n)),
+                            pivots,
+                        )
+            return None, pivots
+        d = c[pivot][pivot]
+        pivots.append(d)
+        active.remove(pivot)
+        ratios = {j: c[pivot][j] / d for j in active}
+        for j in active:
+            if ratios[j] != 0:
+                basis[j] = [
+                    basis[j][t] - ratios[j] * basis[pivot][t] for t in range(n)
+                ]
+        for i in active:
+            if ratios[i] == 0:
+                continue
+            for j in active:
+                c[i][j] -= ratios[i] * c[pivot][j]
+        for j in active:
+            c[pivot][j] = Fraction(0)
+            c[j][pivot] = Fraction(0)
+    return None, pivots
+
+
+def full_quadratic_form(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Fraction:
+    """v'Mv over every entry of M, zeros of v included."""
+    n = len(rows)
+    return sum(
+        (v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n)), Fraction(0)
+    )
+
+
+def scan_by_orders(periods: Sequence[Scalar], w: Scalar, max_order: int) -> ScanReport:
+    """The scan one order at a time: H_k built afresh from the sequence, its
+    own determinant and a full ``psd_check`` up to the first non-PSD order,
+    then that order's witness padded with zeros and re-verified over all of
+    H_k."""
+    if max_order < 0:
+        raise DomainError("max_order must be >= 0")
+    seq = kperiodic_convergents(periods, w, 2 * max_order)
+    dets: List[Fraction] = []
+    results: List[PsdResult] = []
+    first_bad: Optional[int] = None
+    for order in range(max_order + 1):
+        mat = hankel_matrix(seq, order)
+        dets.append(mat.det())
+        if first_bad is None:
+            res = psd_check(mat.entries)
+            if not res.is_psd:
+                first_bad = order
+        else:
+            padded = results[first_bad].witness + (Fraction(0),) * (order - first_bad)
+            if full_quadratic_form(mat.entries, padded) >= 0:
+                raise InvariantError("padded witness failed to certify v'Mv < 0")
+            res = PsdResult(is_psd=False, witness=padded)
+        results.append(res)
+    return ScanReport(
+        periods=tuple(Fraction(p) for p in periods),
+        w=Fraction(w),
+        max_order=max_order,
+        sequence=tuple(seq),
+        determinants=tuple(dets),
+        psd=tuple(res.is_psd for res in results),
+        first_not_psd=first_bad,
+        results=tuple(results),
+    )
 
 
 def kperiodic_by_fold(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from cfmoments.cfrac import TwoPeriodicParams, convergents
 from cfmoments.exactnum import DomainError, InvariantError
+from cfmoments.cli import main
 from cfmoments.hankel import (
     PsdResult,
+    _negative_witness,
     det_exact,
     hankel_matrix,
     psd_check,
@@ -21,10 +24,15 @@ from cfmoments.measures import classify_positivity
 from helpers import (
     char_poly,
     cofactor_det,
+    full_quadratic_form,
+    negative_witness_eager,
+    period_fractions,
     psd_by_char_poly,
     psd_by_principal_minors,
     random_gram,
     random_symmetric,
+    scan_by_orders,
+    seed_fractions,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "kperiodic_112_scan.json"
@@ -84,18 +92,13 @@ def test_char_poly_of_identity():
     assert char_poly(eye) == [1, -3, 3, -1]
 
 
-def _quadratic_form(rows, v):
-    n = len(rows)
-    return sum(v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n))
-
-
 def test_swap_matrix_is_not_psd():
     swap = [[F(0), F(1)], [F(1), F(0)]]
     assert char_poly(swap) == [1, 0, -1]
     assert not psd_by_char_poly(swap)
     result = psd_check(swap)
     assert not result.is_psd
-    assert _quadratic_form(swap, result.witness) < 0
+    assert full_quadratic_form(swap, result.witness) < 0
 
 
 @pytest.mark.parametrize(
@@ -117,7 +120,7 @@ def test_zero_pivot_cases(rows, is_psd):
     if is_psd:
         assert result.witness is None
     else:
-        assert _quadratic_form(rows, result.witness) < 0
+        assert full_quadratic_form(rows, result.witness) < 0
 
 
 @pytest.mark.parametrize(
@@ -247,7 +250,7 @@ def test_scan_verdicts_match_oracles(periods, w):
         assert verdict == psd_by_char_poly(rows), (order, rows)
         assert verdict == psd_by_principal_minors(rows), (order, rows)
         if not verdict:
-            assert _quadratic_form(rows, report.results[order].witness) < 0
+            assert full_quadratic_form(rows, report.results[order].witness) < 0
         if report.first_not_psd is not None and order > report.first_not_psd:
             assert report.results[order].witness == _padded_first_witness(report, order)
 
@@ -283,16 +286,118 @@ def test_scan_witnesses_certify_failures():
             continue
         mat = hankel_matrix(report.sequence, order)
         assert len(result.witness) == order + 1
-        assert _quadratic_form(mat.entries, result.witness) < 0
+        assert full_quadratic_form(mat.entries, result.witness) < 0
         if order > report.first_not_psd:
             assert result.witness == _padded_first_witness(report, order)
 
 
 def test_scan_padded_witness_is_reverified(monkeypatch):
-    # a first witness that certifies nothing must not be carried to later orders
+    # a first witness that certifies nothing must not be carried to later
+    # orders; psd_check first runs at order 3, the first leading minor <= 0
     monkeypatch.setattr(
         "cfmoments.hankel.psd_check",
         lambda rows: PsdResult(is_psd=False, witness=(F(0),) * len(rows)),
     )
     with pytest.raises(InvariantError, match="padded witness"):
-        scan_kperiodic([1, 1, 2], 1, 1)
+        scan_kperiodic([1, 1, 2], 1, 4)
+
+
+def _wrong_pivots(rows):
+    return None, [F(1)] * len(rows)
+
+
+def test_scan_cross_checks_the_positive_definite_prefix(monkeypatch, capsys):
+    monkeypatch.setattr("cfmoments.hankel._negative_witness", _wrong_pivots)
+    with pytest.raises(InvariantError, match="positive definite prefix"):
+        scan_kperiodic([1, 1], 1, 3)
+    code = main(["hankel-scan", "--periods", "1,1", "--w", "1", "--max-order", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: internal invariant failed: ")
+
+
+def test_definite_scan_runs_one_elimination(monkeypatch):
+    # every order of a positive definite scan comes from the one Bareiss pass
+    def unexpected(*args):
+        pytest.fail("a positive definite order was decided again")
+
+    monkeypatch.setattr("cfmoments.hankel.det_exact", unexpected)
+    monkeypatch.setattr("cfmoments.hankel.psd_check", unexpected)
+    report = scan_kperiodic([1, 1], 1, 12)
+    assert all(report.psd)
+    assert all(d > 0 for d in report.determinants)
+
+
+def _assert_same_report(report, oracle):
+    for field in dataclasses.fields(report):
+        name = field.name
+        assert getattr(report, name) == getattr(oracle, name), name
+
+
+@pytest.mark.parametrize(
+    "periods, w, max_order",
+    [
+        ([1], 0, 6),  # s_0 = 0: a zero pivot at order 0
+        ([1, 1, 1], 1, 8),
+        ([F(3, 2)], F(1, 2), 6),  # w is the fixed point: rank one from order 1
+        ([F(3, 2), F(3, 2), F(1, 2)], F(1, 2), 6),  # zero minor, then not PSD
+        ([1, 1, 2], 1, 8),
+    ],
+)
+def test_scan_matches_per_order_scan_on_edge_cases(periods, w, max_order):
+    _assert_same_report(
+        scan_kperiodic(periods, w, max_order), scan_by_orders(periods, w, max_order)
+    )
+
+
+@given(
+    st.lists(period_fractions, min_size=1, max_size=4),
+    seed_fractions,
+    st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_per_order_scan(periods, w, max_order):
+    _assert_same_report(
+        scan_kperiodic(periods, w, max_order), scan_by_orders(periods, w, max_order)
+    )
+
+
+def _singular(rng, n):
+    # an n x n symmetric matrix with one row and column repeated
+    rows = random_symmetric(rng, n)
+    k = rng.randrange(n)
+    for row in rows:
+        row.append(row[k])
+    rows.append(list(rows[k]))
+    return rows
+
+
+def _zero_diagonal(rng, n):
+    rows = random_symmetric(rng, n)
+    for i in range(n):
+        if rng.random() < 0.6:
+            rows[i][i] = F(0)
+    return rows
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.randoms(use_true_random=False),
+    st.sampled_from([random_symmetric, random_gram, _singular, _zero_diagonal]),
+)
+@settings(max_examples=120, deadline=None)
+def test_lazy_basis_matches_eager_basis(n, rng, draw_matrix):
+    rows = draw_matrix(rng, n)
+    assert _negative_witness(rows) == negative_witness_eager(rows)
+
+
+def test_lazy_basis_pair_path_after_a_pivot():
+    # after the first pivot the reduced block is [[0, -1], [-1, 0]]
+    rows = [[F(1), F(1), F(1)], [F(1), F(1), F(0)], [F(1), F(0), F(1)]]
+    witness, pivots = _negative_witness(rows)
+    assert (witness, pivots) == negative_witness_eager(rows)
+    assert pivots == [1]
+    assert witness == (-2, 1, 1)
+    assert full_quadratic_form(rows, witness) < 0
