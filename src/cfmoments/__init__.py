@@ -27,10 +27,8 @@ from .exactnum import (
     decimal_string,
     parse_rational,
     rational_sqrt,
-    sign_of,
 )
 from .hankel import (
-    HankelMatrix,
     PsdResult,
     ScanReport,
     det_exact,
@@ -45,7 +43,6 @@ from .measures import (
     PositivityVerdict,
     binet_measure,
     classify_positivity,
-    collect_atoms,
     even_odd_measures,
     moment_measure,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "DomainError",
     "FieldMismatchError",
     "GeometricAtomFamily",
-    "HankelMatrix",
     "InvariantError",
     "ParameterError",
     "PositivityVerdict",
@@ -72,7 +68,6 @@ __all__ = [
     "atom_ratios",
     "binet_measure",
     "classify_positivity",
-    "collect_atoms",
     "convergents",
     "decimal_string",
     "denominator_closed_form",
@@ -87,5 +82,4 @@ __all__ = [
     "psd_check",
     "rational_sqrt",
     "scan_kperiodic",
-    "sign_of",
 ]

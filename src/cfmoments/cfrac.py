@@ -230,7 +230,7 @@ def kperiodic_convergents(
     if not cycle:
         raise ParameterError("periods must be a nonempty list")
     if any(p <= 0 for p in cycle):
-        raise ParameterError(f"all periods must be positive, got {cycle}")
+        raise ParameterError(f"all periods must be positive, got [{', '.join(map(str, cycle))}]")
     seed = Fraction(w)
     if seed < 0:
         raise ParameterError(f"seed w must be nonnegative (w >= 0), got {seed}")

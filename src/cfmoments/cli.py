@@ -9,12 +9,18 @@ unwritable --output), 3 an internal invariant failed (a bug, never a
 verdict); :func:`main` alone maps errors to these codes.  --args-file lines
 are split shell-style.  Exact values are emitted in full however many digits
 they have.
+
+The parser is built on the first :func:`main` call and kept for the process.
+Each subcommand runs this module's ``cmd_<name>`` (``hankel-scan`` runs
+``cmd_hankel_scan``), looked up by name on every call.  :func:`main` is not
+thread-safe: it lifts the process-wide int-to-str digit limit while it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import shlex
@@ -251,15 +257,11 @@ def _render(fmt: str, meta: Dict[str, Any], rows: List[Row], verdict: Dict[str, 
         ) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-        else:
-            writer = csv.DictWriter(buf, fieldnames=list(verdict.keys()))
-            writer.writeheader()
-            writer.writerow({k: _csv_cell(v) for k, v in verdict.items()})
+        records = rows or [verdict]
+        writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
+        writer.writeheader()
+        for record in records:
+            writer.writerow({k: _csv_cell(v) for k, v in record.items()})
         return buf.getvalue()
     lines = []
     for key, value in meta.items():
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_options(p)
     p.add_argument("--n-max", dest="n_max", type=int, default=10)
     _add_output_options(p)
-    p.set_defaults(handler=cmd_convergents)
 
     p = sub.add_parser(
         "verify", help="check closed-form moments against s_n, exactly"
@@ -308,12 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also cross-check each moment against a K-term truncated sum",
     )
     _add_output_options(p)
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("classify", help="exact positivity classification")
     _add_params_options(p)
     _add_output_options(p)
-    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser(
         "hankel-scan", help="Hankel determinants and PSD verdicts of a k-periodic run"
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default="1")
     p.add_argument("--max-order", dest="max_order", type=int, default=8)
     _add_output_options(p)
-    p.set_defaults(handler=cmd_hankel_scan)
 
     p = sub.add_parser(
         "fibonacci",
@@ -331,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="recurrence coefficient (> 0)")
     p.add_argument("--n-max", dest="n_max", type=int, default=10)
     _add_output_options(p)
-    p.set_defaults(handler=cmd_fibonacci)
 
     return parser
 
@@ -356,15 +353,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_limit(previous)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept for the process."""
+    return build_parser()
+
+
 def _run(argv: Optional[List[str]]) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     expanded = _expand_args_file(raw)
-    parser = build_parser()
     try:
-        args = parser.parse_args(expanded)
+        args = _parser().parse_args(expanded)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    meta, rows, verdict, code = args.handler(args)
+    # Looked up by name on every call, so a handler replaced on the module
+    # after the parser was built is the one that runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
+    meta, rows, verdict, code = handler(args)
     text = _render(args.format, meta, rows, verdict)
     if args.output:
         if "\0" in args.output:  # open() would raise ValueError, not OSError

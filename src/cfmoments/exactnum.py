@@ -365,14 +365,6 @@ def _format_scaled(n: int, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def sign_of(x: Union[Scalar, QuadElem]) -> int:
-    """Exact sign of a rational or quadratic-field value."""
-    if isinstance(x, QuadElem):
-        return x.sign()
-    frac = Fraction(x)
-    return (frac > 0) - (frac < 0)
-
-
 def decimal_string(x: Union[Scalar, QuadElem], digits: int) -> str:
     """Correctly rounded decimal rendering of a rational or QuadElem."""
     if isinstance(x, QuadElem):

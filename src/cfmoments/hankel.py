@@ -49,21 +49,10 @@ from .exactnum import DomainError, InvariantError, Scalar
 Matrix = Sequence[Sequence[Fraction]]
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """The (order+1) x (order+1) matrix with entry (i, j) = seq[i + j]."""
-
-    order: int
-    entries: Tuple[Tuple[Fraction, ...], ...]
-
-    def det(self) -> Fraction:
-        return det_exact(self.entries)
-
-    def psd(self) -> "PsdResult":
-        return psd_check(self.entries)
-
-
-def hankel_matrix(seq: Sequence[Scalar], order: int) -> HankelMatrix:
+def hankel_matrix(
+    seq: Sequence[Scalar], order: int
+) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The rows of the (order+1) x (order+1) matrix with entry (i, j) = seq[i + j]."""
     if order < 0:
         raise DomainError("order must be >= 0")
     needed = 2 * order + 1
@@ -72,10 +61,9 @@ def hankel_matrix(seq: Sequence[Scalar], order: int) -> HankelMatrix:
             f"need at least {needed} sequence entries for order {order}, got {len(seq)}"
         )
     values = [Fraction(x) for x in seq[:needed]]
-    rows = tuple(
+    return tuple(
         tuple(values[i + j] for j in range(order + 1)) for i in range(order + 1)
     )
-    return HankelMatrix(order, rows)
 
 
 def det_exact(matrix: Matrix) -> Fraction:
@@ -289,7 +277,7 @@ def scan_kperiodic(
     if max_order < 0:
         raise DomainError("max_order must be >= 0")
     seq = kperiodic_convergents(periods, w, 2 * max_order)
-    rows = hankel_matrix(seq, max_order).entries
+    rows = hankel_matrix(seq, max_order)
 
     def block(order: int) -> List[List[Fraction]]:
         return [list(row[: order + 1]) for row in rows[: order + 1]]

@@ -52,16 +52,6 @@ class GeometricAtomFamily:
     location_ratio: QuadElem
     location_sign: int = 1
 
-    def atom(self, k: int) -> Atom:
-        """The k-th atom (k >= 0), at exponent 1 + k."""
-        if k < 0:
-            raise DomainError("atom index must be >= 0")
-        m = 1 + k
-        return Atom(
-            location=self.location_sign * self.location_ratio**m,
-            weight=self.scale * self.weight_ratio**m,
-        )
-
 
 @dataclass(frozen=True)
 class DiscreteSignedMeasure:
@@ -255,21 +245,6 @@ def _geometric_partial_sum(step: QuadElem, terms: int) -> Tuple[QuadElem, QuadEl
     for _ in range(terms - 1):
         previous, total = total, (total + 1) * step
     return total, total - previous
-
-
-def collect_atoms(
-    measure: DiscreteSignedMeasure, max_exponent: int
-) -> List[Atom]:
-    """All atoms with family exponent <= max_exponent, merged by location.
-
-    Head atoms are always included.  Useful as an exact oracle for sign
-    patterns and for comparing two symbolic presentations of one measure on
-    a finite window.
-    """
-    atoms = list(measure.head_atoms)
-    for fam in measure.families:
-        atoms += (fam.atom(k) for k in range(max_exponent))
-    return [Atom(loc, weight) for loc, weight in _merged((a.location, a.weight) for a in atoms)]
 
 
 def _merged(items: Iterable[Tuple[_Key, QuadElem]]) -> List[Tuple[_Key, QuadElem]]:

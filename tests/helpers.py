@@ -19,8 +19,8 @@ from cfmoments.exactnum import (
     Scalar,
     rational_sqrt,
 )
-from cfmoments.hankel import PsdResult, ScanReport, hankel_matrix, psd_check
-from cfmoments.measures import DiscreteSignedMeasure
+from cfmoments.hankel import PsdResult, ScanReport, det_exact, hankel_matrix, psd_check
+from cfmoments.measures import Atom, DiscreteSignedMeasure, GeometricAtomFamily, _merged
 
 
 def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -155,15 +155,15 @@ def scan_by_orders(periods: Sequence[Scalar], w: Scalar, max_order: int) -> Scan
     results: List[PsdResult] = []
     first_bad: Optional[int] = None
     for order in range(max_order + 1):
-        mat = hankel_matrix(seq, order)
-        dets.append(mat.det())
+        rows = hankel_matrix(seq, order)
+        dets.append(det_exact(rows))
         if first_bad is None:
-            res = psd_check(mat.entries)
+            res = psd_check(rows)
             if not res.is_psd:
                 first_bad = order
         else:
             padded = results[first_bad].witness + (Fraction(0),) * (order - first_bad)
-            if full_quadratic_form(mat.entries, padded) >= 0:
+            if full_quadratic_form(rows, padded) >= 0:
                 raise InvariantError("padded witness failed to certify v'Mv < 0")
             res = PsdResult(is_psd=False, witness=padded)
         results.append(res)
@@ -252,6 +252,32 @@ def truncated_by_families(
         value = value + fam.location_sign**n * fam.scale * partial
         bound = bound + abs(fam.scale) * abs(step) ** (1 + terms) / (1 - abs(step))
     return value, bound
+
+
+def family_atom(fam: GeometricAtomFamily, k: int) -> Atom:
+    """The k-th atom (k >= 0) of a geometric family, at exponent 1 + k."""
+    if k < 0:
+        raise DomainError("atom index must be >= 0")
+    m = 1 + k
+    return Atom(
+        location=fam.location_sign * fam.location_ratio**m,
+        weight=fam.scale * fam.weight_ratio**m,
+    )
+
+
+def collect_atoms(
+    measure: DiscreteSignedMeasure, max_exponent: int
+) -> List[Atom]:
+    """All atoms with family exponent <= max_exponent, merged by location.
+
+    Head atoms are always included.  Useful as an exact oracle for sign
+    patterns and for comparing two symbolic presentations of one measure on
+    a finite window.
+    """
+    atoms = list(measure.head_atoms)
+    for fam in measure.families:
+        atoms += (family_atom(fam, k) for k in range(max_exponent))
+    return [Atom(loc, weight) for loc, weight in _merged((a.location, a.weight) for a in atoms)]
 
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

@@ -119,7 +119,7 @@ def test_criterion_6_hankel_necessity():
         assert classify_positivity(params).is_positive
         seq = [c.value for c in convergents(params, 16)]
         for order in range(9):
-            assert hankel_matrix(seq, order).psd().is_psd, (params, order)
+            assert psd_check(hankel_matrix(seq, order)).is_psd, (params, order)
     _report(6, "H_0..H_8 PSD for the three positive-measure triples")
 
 

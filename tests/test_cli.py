@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfmoments import cli
 from cfmoments.cli import main
 from cfmoments.exactnum import InvariantError
 
@@ -353,6 +355,32 @@ def test_args_file_with_nul_byte_in_output_path_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--args-file", str(args_file))
     assert_one_error_line(code, out, err)
     assert "NUL" in err
+
+
+def test_nonpositive_periods_are_named_as_exact_strings(capsys):
+    code, out, err = run(capsys, "hankel-scan", "--periods", "0,1/2")
+    assert_one_error_line(code, out, err)
+    assert "Fraction(" not in err
+    assert err == "error: all periods must be positive, got [0, 1/2]\n"
+
+
+def test_second_call_reuses_the_parser_and_runs_the_current_handler(capsys, monkeypatch):
+    assert run(capsys, "classify", "--a", "1", "--b", "1")[0] == 0
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    def patched(args):
+        return {"command": "patched"}, [], {"a": args.a}, 0
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "cmd_classify", patched)
+    code, out, _ = run(capsys, "classify", "--a", "7/2", "--b", "1")
+    assert built == []
+    assert (code, out) == (0, "command: patched\na: 7/2\n")
 
 
 def test_decimal_preview_digits(capsys):

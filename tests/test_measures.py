@@ -12,13 +12,18 @@ from cfmoments.measures import (
     GeometricAtomFamily,
     binet_measure,
     classify_positivity,
-    collect_atoms,
     even_odd_measures,
     moment_measure,
     _geometric_partial_sum,
 )
 
-from helpers import fib, moment_by_families, param_triples, truncated_by_families
+from helpers import (
+    collect_atoms,
+    fib,
+    moment_by_families,
+    param_triples,
+    truncated_by_families,
+)
 
 SAMPLE_PARAMS = [
     TwoPeriodicParams(1, 1, 0),
