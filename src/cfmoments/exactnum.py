@@ -289,7 +289,7 @@ class QuadElem:
     def __hash__(self) -> int:
         if self._r == 0:
             return hash(Fraction(self._p, self._d))
-        return hash((self.rat, self.surd, self.field.radicand))
+        return hash((self._p, self._r, self._d, self.field.radicand))
 
     @_coerced
     def __lt__(self, o: QuadElem) -> bool:

@@ -7,46 +7,39 @@ Until its first row swap each pivot of that pass is a leading principal minor
 of the row-scaled matrix, so one pass also gives det M[:k+1, :k+1] for every
 k up to the first zero pivot.
 
-Positive semidefiniteness of one matrix is decided by one congruence
-(LDL-style) elimination over Fractions, O(n^3): a negative pivot, or a zero
-diagonal beside a nonzero off-diagonal entry, yields a rational witness v
-with v'Mv < 0, re-verified before it is returned; when no witness exists the
-matrix is PSD.  The basis vectors a witness is made of are rebuilt from the
-recorded pivot steps only when one is returned.  A PSD verdict is
-cross-checked against the Bareiss determinant: the product of the positive
-pivots must equal det(M) at full rank, and det(M) must be 0 when the reduced
-block vanished early.
+Positive semidefiniteness is decided by one congruence (LDL-style)
+elimination over Fractions, O(n^3), bordered one leading block onto the next
+(Golub & Van Loan, *Matrix Computations*), so one pass answers every leading
+block in turn.  A negative pivot, or a zero diagonal beside a nonzero
+off-diagonal entry, yields a rational witness v with v'Mv < 0, rebuilt from
+the recorded pivot steps; when no witness exists the block is PSD.  One
+helper certifies each verdict: a witness must give v'Mv < 0, and a PSD
+block's pivot product (0 if its reduced block vanished) must equal its
+Bareiss determinant.
 
-A k-periodic scan builds H_K once; each H_k is its leading block, and one
-Bareiss pass over H_K gives det H_k for every order up to its first zero
-pivot (later orders take ``det_exact`` each).  Each order's verdict comes by
-one of three routes:
+A k-periodic scan builds H_K once, and each H_k is its leading block.  One
+Bareiss pass over H_K gives det H_k up to its first zero pivot (later orders
+take ``det_exact`` each).  Each order's verdict comes by one of two routes:
 
-1. Sylvester prefix: the orders before the first leading minor <= 0 are
-   positive definite.  As a second check, one congruence elimination of the
-   last of them must find no witness and one pivot per order, whose running
-   products are those minors.
-2. From the first leading minor <= 0, ``psd_check`` decides each order until
-   the first non-PSD one.  Leading minors alone would not suffice there: a
-   singular matrix can have nonnegative leading minors and not be PSD.
-3. After the first non-PSD order, every later order is certified by that
-   order's witness padded with zeros (H_k is a leading block of H_{k+1}),
-   re-verified against each order's matrix over the witness's support.
+1. up to and including the first non-PSD order, from the one bordered
+   elimination of H_K, certified against that order's determinant;
+2. after it, from that order's witness padded with zeros (H_k is a leading
+   block of H_{k+1}), re-verified against each order's matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm, prod
-from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cfrac import kperiodic_convergents
 from .exactnum import DomainError, InvariantError, Scalar
 
 Matrix = Sequence[Sequence[Fraction]]
+# (witness or None, positive pivots taken) of one congruence elimination
+Found = Tuple[Optional[Tuple[Fraction, ...]], List[Fraction]]
 
 
 def hankel_matrix(
@@ -127,8 +120,8 @@ class PsdResult:
 
     ``witness`` is a rational vector v with v' M v < 0, found by congruence
     elimination and re-verified before being returned; it is None exactly
-    when the matrix is PSD.  A PSD verdict has passed one of the
-    cross-checks described in the module docstring.
+    when the matrix is PSD.  A PSD verdict's pivot product has matched the
+    Bareiss determinant, as the module docstring describes.
     """
 
     is_psd: bool
@@ -145,15 +138,24 @@ def psd_check(matrix: Matrix) -> PsdResult:
         for j in range(i):
             if rows[i][j] != rows[j][i]:
                 raise DomainError("psd_check requires a symmetric matrix")
-    witness, pivots = _negative_witness(rows)
+    return _certified(rows, n, next(_eliminate(rows, [n])), lambda: det_exact(rows))
+
+
+def _certified(
+    rows: Matrix, size: int, found: Found, det: Callable[[], Fraction]
+) -> PsdResult:
+    """The verdict of one elimination of the leading ``size`` block of
+    ``rows``, certified: a witness must give v'Mv < 0, and a PSD verdict's
+    pivots must agree with ``det()``, that block's Bareiss determinant."""
+    witness, pivots = found
     if witness is not None:
         if _quadratic_form(rows, witness) >= 0:
             raise InvariantError("witness failed to certify v'Mv < 0")
         return PsdResult(is_psd=False, witness=witness)
     # The elimination is a congruence by a unit-determinant transform, so
     # det(M) is the product of its pivots, or 0 if the block vanished early.
-    expected = prod(pivots, start=Fraction(1)) if len(pivots) == n else Fraction(0)
-    if det_exact(rows) != expected:
+    expected = prod(pivots, start=Fraction(1)) if len(pivots) == size else Fraction(0)
+    if det() != expected:
         raise InvariantError(
             "congruence pivots and Bareiss determinant disagree on a PSD verdict"
         )
@@ -169,56 +171,78 @@ def _quadratic_form(rows: Matrix, v: Tuple[Fraction, ...]) -> Fraction:
     )
 
 
-def _negative_witness(
-    rows: List[List[Fraction]],
-) -> Tuple[Optional[Tuple[Fraction, ...]], List[Fraction]]:
-    """A vector v with v'Mv < 0 via congruence (LDL-style) elimination.
+def _eliminate(rows: Matrix, sizes: Iterable[int]) -> Iterator[Found]:
+    """Congruence elimination of the leading blocks of ``rows`` with the
+    increasing ``sizes``, each bordered onto the one before; yields each
+    block's (witness or None, positive pivots) and stops after a witness.
+    Fewer pivots than rows and no witness means the reduced block vanished.
 
-    A negative diagonal pivot of the reduced block maps back to a witness
-    through that row's basis vector, and an all-zero diagonal with a nonzero
-    off-diagonal entry yields one from a +/- pair of basis vectors.  Returns
-    the witness (None when the matrix is PSD) and the positive pivots taken;
-    fewer than n pivots without a witness means the reduced block vanished.
+    A negative diagonal of the reduced block maps back to a witness through
+    that row's basis vector, and an all-zero diagonal with a nonzero
+    off-diagonal entry yields one from a +/- pair of basis vectors.
 
-    The basis is built lazily: each pivot step records only (pivot, ratios),
-    and the basis vectors a witness needs are rebuilt from those records when
-    one is returned (``_basis_vectors``), by the same updates in the same
-    order, so the witness is the one an eagerly kept basis would give.  A PSD
-    verdict pays only for the elimination of the reduced block, which is
-    symmetric and so updated one triangle at a time.
+    Bordering reduces each new row through the recorded pivot steps in order,
+    checking its diagonal for < 0 before each step, and then resumes.  Each
+    block before a witness is PSD, so its reduced diagonals stay >= 0 and
+    each step takes the pivot that the larger block's own elimination would:
+    every yield is what that block eliminated alone gives.  A pivot's row is
+    stale in columns bordered after it was taken, so bordering reads the
+    pivot's column, which froze at its value at that step.
+
+    Each step records only (pivot, ratios); the basis vectors a witness needs
+    are replayed from those records (``_basis_vectors``), so a PSD verdict
+    pays only for the reduced block, which is symmetric and so updated one
+    triangle at a time.
     """
-    n = len(rows)
     c = [list(row) for row in rows]
     steps: List[Tuple[int, Dict[int, Fraction]]] = []
-    active = list(range(n))
+    active: List[int] = []
     pivots: List[Fraction] = []
-    while active:
-        pivot = None
-        for i in active:
-            if c[i][i] < 0:
-                return tuple(_basis_vectors(n, steps, [i])[0]), pivots
-            if c[i][i] > 0 and pivot is None:
-                pivot = i
-        if pivot is None:
+    for size in sizes:
+        new = range(len(pivots) + len(active), size)
+        for t, (p, ratios) in enumerate(steps):
+            for k in new:
+                row = c[k]
+                if row[k] < 0:
+                    yield tuple(_basis_vectors(size, steps[:t], [k])[0]), pivots[:t]
+                    return
+                ratio = ratios[k] = row[p] / pivots[t]
+                if ratio:
+                    for j in ratios:
+                        row[j] -= ratio * c[j][p]
+        for k in new:
+            for j in active:
+                c[j][k] = c[k][j]
+            active.append(k)
+        while active:
+            pivot = None
             for i in active:
-                for j in active:
-                    if i < j and c[i][j] != 0:
-                        sign = 1 if c[i][j] > 0 else -1
-                        u, v = _basis_vectors(n, steps, [i, j])
-                        return tuple(x - sign * y for x, y in zip(u, v)), pivots
-            return None, pivots  # reduced block vanished: PSD and singular
-        d = c[pivot][pivot]
-        pivots.append(d)
-        active.remove(pivot)
-        pivot_row = c[pivot]
-        ratios = {j: pivot_row[j] / d for j in active}
-        steps.append((pivot, ratios))
-        moved = [i for i in active if ratios[i] != 0]
-        for at, i in enumerate(moved):
-            row, ratio = c[i], ratios[i]
-            for j in moved[at:]:
-                row[j] = c[j][i] = row[j] - ratio * pivot_row[j]
-    return None, pivots
+                if c[i][i] < 0:
+                    yield tuple(_basis_vectors(size, steps, [i])[0]), pivots
+                    return
+                if c[i][i] > 0 and pivot is None:
+                    pivot = i
+            if pivot is None:
+                for i in active:
+                    for j in active:
+                        if i < j and c[i][j] != 0:
+                            sign = 1 if c[i][j] > 0 else -1
+                            u, v = _basis_vectors(size, steps, [i, j])
+                            yield tuple(x - sign * y for x, y in zip(u, v)), pivots
+                            return
+                break  # reduced block vanished
+            d = c[pivot][pivot]
+            pivots.append(d)
+            active.remove(pivot)
+            pivot_row = c[pivot]
+            ratios = {j: pivot_row[j] / d for j in active}
+            steps.append((pivot, ratios))
+            moved = [i for i in active if ratios[i] != 0]
+            for at, i in enumerate(moved):
+                row, ratio = c[i], ratios[i]
+                for j in moved[at:]:
+                    row[j] = c[j][i] = row[j] - ratio * pivot_row[j]
+        yield None, list(pivots)
 
 
 def _basis_vectors(
@@ -264,43 +288,31 @@ def scan_kperiodic(
     whether) definiteness fails.  H_K is built once and each H_k is its
     leading block.  One Bareiss pass over H_K gives det H_k for every order
     up to its first zero pivot; each later order takes its own ``det_exact``.
-    The verdicts come by three routes:
-
-    - the orders before the first leading minor <= 0 are positive definite
-      by Sylvester's criterion, cross-checked by one congruence elimination
-      of the last of them, whose pivots' running products must be the minors;
-    - from that minor on, ``psd_check`` decides each order until the first
-      non-PSD one;
-    - every later order is certified by that order's witness padded with
-      zeros, re-verified against each order's matrix.
+    Up to and including the first non-PSD order, one elimination of H_K,
+    bordered one order at a time, decides each order, certified against
+    that order's determinant; every later order is certified by that
+    order's witness padded with zeros, re-verified against its matrix.
     """
     if max_order < 0:
         raise DomainError("max_order must be >= 0")
     seq = kperiodic_convergents(periods, w, 2 * max_order)
     rows = hankel_matrix(seq, max_order)
-
-    def block(order: int) -> List[List[Fraction]]:
-        return [list(row[: order + 1]) for row in rows[: order + 1]]
-
     dets = _bareiss(rows)[1]
-    dets += [det_exact(block(order)) for order in range(len(dets), max_order + 1)]
-    definite = next((k for k, det in enumerate(dets) if det <= 0), len(dets))
-    if definite:
-        _check_sylvester(block(definite - 1), dets[:definite])
-    results = [PsdResult(is_psd=True)] * definite
-    first_bad: Optional[int] = None
-    for order in range(definite, max_order + 1):
-        if first_bad is None:
-            res = psd_check(block(order))
-            if not res.is_psd:
-                first_bad = order
-        else:
-            padded = results[first_bad].witness + (Fraction(0),) * (order - first_bad)
-            # H_order is a leading block of H_K, and padded is 0 past it
-            if _quadratic_form(rows, padded) >= 0:
-                raise InvariantError("padded witness failed to certify v'Mv < 0")
-            res = PsdResult(is_psd=False, witness=padded)
-        results.append(res)
+    dets += [
+        det_exact([row[: k + 1] for row in rows[: k + 1]])
+        for k in range(len(dets), max_order + 1)
+    ]
+    results = [
+        _certified(rows, k + 1, found, lambda: dets[k])
+        for k, found in enumerate(_eliminate(rows, range(1, max_order + 2)))
+    ]
+    first_bad = None if results[-1].is_psd else len(results) - 1
+    for order in range(len(results), max_order + 1):
+        padded = results[first_bad].witness + (Fraction(0),) * (order - first_bad)
+        # H_order is a leading block of H_K, and padded is 0 past it
+        if _quadratic_form(rows, padded) >= 0:
+            raise InvariantError("padded witness failed to certify v'Mv < 0")
+        results.append(PsdResult(is_psd=False, witness=padded))
     return ScanReport(
         periods=tuple(Fraction(p) for p in periods),
         w=Fraction(w),
@@ -311,18 +323,3 @@ def scan_kperiodic(
         first_not_psd=first_bad,
         results=tuple(results),
     )
-
-
-def _check_sylvester(rows: List[List[Fraction]], minors: List[Fraction]) -> None:
-    """Second check of a positive definite prefix: the congruence elimination
-    of its last matrix must find no witness and take one pivot per order,
-    whose running products are the leading minors."""
-    witness, pivots = _negative_witness(rows)
-    if (
-        witness is not None
-        or len(pivots) != len(minors)
-        or any(run != minor for run, minor in zip(accumulate(pivots, mul), minors))
-    ):
-        raise InvariantError(
-            "congruence pivots and leading minors disagree on a positive definite prefix"
-        )

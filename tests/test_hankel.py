@@ -12,8 +12,8 @@ from cfmoments.cfrac import TwoPeriodicParams, convergents
 from cfmoments.exactnum import DomainError, InvariantError
 from cfmoments.cli import main
 from cfmoments.hankel import (
-    PsdResult,
-    _negative_witness,
+    _eliminate,
+    _quadratic_form,
     det_exact,
     hankel_matrix,
     psd_check,
@@ -29,6 +29,7 @@ from helpers import (
     period_fractions,
     psd_by_char_poly,
     psd_by_principal_minors,
+    random_fraction,
     random_gram,
     random_symmetric,
     scan_by_orders,
@@ -293,22 +294,27 @@ def test_scan_witnesses_certify_failures():
 
 def test_scan_padded_witness_is_reverified(monkeypatch):
     # a first witness that certifies nothing must not be carried to later
-    # orders; psd_check first runs at order 3, the first leading minor <= 0
-    monkeypatch.setattr(
-        "cfmoments.hankel.psd_check",
-        lambda rows: PsdResult(is_psd=False, witness=(F(0),) * len(rows)),
-    )
+    # orders; the first quadratic form checked is order 3's own witness, and
+    # every later one reads 0
+    calls = []
+
+    def truthful_once(rows, v):
+        calls.append(v)
+        return _quadratic_form(rows, v) if len(calls) == 1 else F(0)
+
+    monkeypatch.setattr("cfmoments.hankel._quadratic_form", truthful_once)
     with pytest.raises(InvariantError, match="padded witness"):
         scan_kperiodic([1, 1, 2], 1, 4)
 
 
-def _wrong_pivots(rows):
-    return None, [F(1)] * len(rows)
+def _wrong_pivots(rows, sizes):
+    for size in sizes:
+        yield None, [F(1)] * size
 
 
 def test_scan_cross_checks_the_positive_definite_prefix(monkeypatch, capsys):
-    monkeypatch.setattr("cfmoments.hankel._negative_witness", _wrong_pivots)
-    with pytest.raises(InvariantError, match="positive definite prefix"):
+    monkeypatch.setattr("cfmoments.hankel._eliminate", _wrong_pivots)
+    with pytest.raises(InvariantError, match="pivots and Bareiss determinant disagree"):
         scan_kperiodic([1, 1], 1, 3)
     code = main(["hankel-scan", "--periods", "1,1", "--w", "1", "--max-order", "3"])
     captured = capsys.readouterr()
@@ -319,7 +325,8 @@ def test_scan_cross_checks_the_positive_definite_prefix(monkeypatch, capsys):
 
 
 def test_definite_scan_runs_one_elimination(monkeypatch):
-    # every order of a positive definite scan comes from the one Bareiss pass
+    # a positive definite scan takes every determinant from the one Bareiss
+    # pass and every verdict from the one bordered elimination
     def unexpected(*args):
         pytest.fail("a positive definite order was decided again")
 
@@ -364,13 +371,26 @@ def test_scan_matches_per_order_scan(periods, w, max_order):
     )
 
 
-def _singular(rng, n):
-    # an n x n symmetric matrix with one row and column repeated
-    rows = random_symmetric(rng, n)
-    k = rng.randrange(n)
+def _repeat_one(rng, rows):
+    # the symmetric matrix with one row and column of ``rows`` repeated
+    k = rng.randrange(len(rows))
     for row in rows:
         row.append(row[k])
     rows.append(list(rows[k]))
+    return rows
+
+
+def _singular(rng, n):
+    return _repeat_one(rng, random_symmetric(rng, n))
+
+
+def _bordered_gram(rng, n):
+    # a rank-deficient Gram block bordered by a random row and column
+    rows = _repeat_one(rng, random_gram(rng, n))
+    border = [random_fraction(rng) for _ in range(len(rows) + 1)]
+    for row, x in zip(rows, border):
+        row.append(x)
+    rows.append(border)
     return rows
 
 
@@ -390,14 +410,33 @@ def _zero_diagonal(rng, n):
 @settings(max_examples=120, deadline=None)
 def test_lazy_basis_matches_eager_basis(n, rng, draw_matrix):
     rows = draw_matrix(rng, n)
-    assert _negative_witness(rows) == negative_witness_eager(rows)
+    assert next(_eliminate(rows, [len(rows)])) == negative_witness_eager(rows)
 
 
 def test_lazy_basis_pair_path_after_a_pivot():
     # after the first pivot the reduced block is [[0, -1], [-1, 0]]
     rows = [[F(1), F(1), F(1)], [F(1), F(1), F(0)], [F(1), F(0), F(1)]]
-    witness, pivots = _negative_witness(rows)
+    witness, pivots = next(_eliminate(rows, [len(rows)]))
     assert (witness, pivots) == negative_witness_eager(rows)
     assert pivots == [1]
     assert witness == (-2, 1, 1)
     assert full_quadratic_form(rows, witness) < 0
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.randoms(use_true_random=False),
+    st.sampled_from(
+        [random_symmetric, random_gram, _singular, _zero_diagonal, _bordered_gram]
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_bordering_matches_each_block_eliminated_alone(n, rng, draw_matrix):
+    # sizes up to 7; every order up to and including the first witness
+    rows = draw_matrix(rng, n)
+    for k, found in enumerate(_eliminate(rows, range(1, len(rows) + 1))):
+        block = [row[: k + 1] for row in rows[: k + 1]]
+        assert found == next(_eliminate(block, [k + 1])), k
+        result = psd_check(block)
+        assert (found[0] is None, found[0]) == (result.is_psd, result.witness), k
+    assert found[0] is not None or k == len(rows) - 1
