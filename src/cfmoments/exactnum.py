@@ -312,9 +312,12 @@ class QuadElem:
     def decimal(self, digits: int) -> str:
         """Correctly rounded decimal expansion with ``digits`` fractional digits.
 
-        Rounded half-to-even from exact data: an irrational value brackets
-        sqrt(U) between k/10^prec and (k+1)/10^prec, k = isqrt(U*10^(2*prec)),
-        and refines until both ends round alike (an irrational has no ties).
+        Rounded half-to-even from exact data.  An irrational value has no
+        ties, so with S = 10^digits it rounds to floor((A + sqrt(B)) / C) for
+        R > 0 and floor((A - sqrt(B)) / C) for R < 0, where A = 2PS + D,
+        B = 4R^2 S^2 U and C = 2D.  sqrt(B) lies strictly between isqrt(B)
+        and isqrt(B) + 1, so replacing it by isqrt(B), or by isqrt(B) + 1
+        when subtracted, leaves the floor unchanged: one isqrt decides it.
         """
         if digits < 1:
             raise DomainError("digits must be >= 1")
@@ -322,15 +325,10 @@ class QuadElem:
         if r == 0:
             return _decimal_of_ratio(p, d, digits)
         scale = 10**digits
-        prec = digits + 8
-        while True:
-            shift = 10**prec
-            k = isqrt(self.field._int_radicand * shift * shift)
-            at_k = _round_half_even((p * shift + r * k) * scale, d * shift)
-            at_k1 = _round_half_even((p * shift + r * (k + 1)) * scale, d * shift)
-            if at_k == at_k1:
-                return _format_scaled(at_k, digits)
-            prec += 8
+        top = 2 * p * scale + d
+        root = isqrt(4 * r * r * scale * scale * self.field._int_radicand)
+        shift = root if r > 0 else -root - 1
+        return _format_scaled((top + shift) // (2 * d), digits)
 
     def __str__(self) -> str:
         if self._r == 0:

@@ -1,11 +1,10 @@
 """Exact Hankel-matrix machinery for rational moment sequences.
 
 Determinants are computed fraction-free by one integer Bareiss routine:
-denominators are cleared row by row, the elimination runs over plain
-integers, and the single division at the end restores the rational value.
-Until its first row swap each pivot of that pass is a leading principal minor
-of the row-scaled matrix, so one pass also gives det M[:k+1, :k+1] for every
-k up to the first zero pivot.
+denominators are cleared row by row and the elimination runs over plain
+integers.  Its pivot at step k, signed by its row swaps and divided by the
+row scales, is det M[:k+1, :k+1], unless a swap has reached below row k, in
+which case that minor is 0; so one pass gives every leading principal minor.
 
 Positive semidefiniteness is decided by one congruence (LDL-style)
 elimination over Fractions, O(n^3), bordered one leading block onto the next
@@ -18,8 +17,8 @@ block's pivot product (0 if its reduced block vanished) must equal its
 Bareiss determinant.
 
 A k-periodic scan builds H_K once, and each H_k is its leading block.  One
-Bareiss pass over H_K gives det H_k up to its first zero pivot (later orders
-take ``det_exact`` each).  Each order's verdict comes by one of two routes:
+Bareiss pass over H_K gives det H_k for every order.  Each order's verdict
+comes by one of two routes:
 
 1. up to and including the first non-PSD order, from the one bordered
    elimination of H_K, certified against that order's determinant;
@@ -60,19 +59,22 @@ def hankel_matrix(
 
 
 def det_exact(matrix: Matrix) -> Fraction:
-    """Exact determinant by integer Bareiss elimination after clearing rows."""
-    return _bareiss(matrix)[0]
+    """Exact determinant: the last leading minor of one integer Bareiss pass."""
+    minors = _bareiss(matrix)
+    return minors[-1] if minors else Fraction(1)
 
 
-def _bareiss(matrix: Matrix) -> Tuple[Fraction, List[Fraction]]:
-    """(det M, leading minors) by one integer Bareiss elimination.
+def _bareiss(matrix: Matrix) -> List[Fraction]:
+    """det M[:k+1, :k+1] for every k, by one integer Bareiss elimination.
 
-    Row i is scaled to integers by d_i, the lcm of its denominators.  Before
-    any row swap the pivot at step k is d_0...d_k * det M[:k+1, :k+1], so the
-    pass records each leading minor as it goes.  A negative pivot is used as
-    it comes; a zero pivot is the last minor recorded, and is then swapped
-    with a lower row to finish the determinant (which is 0 when no lower row
-    has a nonzero entry in its column).
+    Row i is scaled to integers by d_i, the lcm of its denominators.  A zero
+    pivot is swapped with the first lower row nonzero in its column, and
+    ``reach`` is the largest row index any swap has reached.  While
+    ``reach <= k`` rows 0..k are the same set, so the pivot at step k is
+    sign * d_0...d_k * det M[:k+1, :k+1].  Past that, a swap at step j < k
+    reached below row k because rows j..k were zero in column j, so the first
+    j+1 columns of M[:k+1, :k+1] have rank <= j and its minor is 0; when no
+    lower row is nonzero in the column, every remaining minor is 0.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -85,23 +87,19 @@ def _bareiss(matrix: Matrix) -> Tuple[Fraction, List[Fraction]]:
         dens.append(row_den)
         work.append([f.numerator * (row_den // f.denominator) for f in fracs])
     minors: List[Fraction] = []
-    leading = True
-    scale = 1
-    sign = 1
-    prev = 1
+    scale = sign = prev = 1
+    reach = 0
     for k in range(n):
-        if leading:
-            scale *= dens[k]
-            minors.append(Fraction(work[k][k], scale))
+        scale *= dens[k]
+        minors.append(Fraction(sign * work[k][k], scale) if reach <= k else Fraction(0))
         if work[k][k] == 0:
-            leading = False
             for i in range(k + 1, n):
                 if work[i][k] != 0:
                     work[k], work[i] = work[i], work[k]
-                    sign = -sign
+                    sign, reach = -sign, max(reach, i)
                     break
             else:
-                return Fraction(0), minors
+                return minors + [Fraction(0)] * (n - 1 - k)
         pivot_row = work[k]
         pivot = pivot_row[k]
         for row in work[k + 1 :]:
@@ -111,7 +109,7 @@ def _bareiss(matrix: Matrix) -> Tuple[Fraction, List[Fraction]]:
                 for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
             ]
         prev = pivot
-    return Fraction(sign * prev, prod(dens)), minors
+    return minors
 
 
 @dataclass(frozen=True)
@@ -286,22 +284,17 @@ def scan_kperiodic(
 
     Reports what exact computation finds; it asserts nothing about where (or
     whether) definiteness fails.  H_K is built once and each H_k is its
-    leading block.  One Bareiss pass over H_K gives det H_k for every order
-    up to its first zero pivot; each later order takes its own ``det_exact``.
-    Up to and including the first non-PSD order, one elimination of H_K,
-    bordered one order at a time, decides each order, certified against
-    that order's determinant; every later order is certified by that
-    order's witness padded with zeros, re-verified against its matrix.
+    leading block.  One Bareiss pass over H_K gives det H_k for every
+    order.  Up to and including the first non-PSD order, one elimination of
+    H_K, bordered one order at a time, decides each order, certified against
+    that order's determinant; every later order is certified by that order's
+    witness padded with zeros, re-verified against its matrix.
     """
     if max_order < 0:
         raise DomainError("max_order must be >= 0")
     seq = kperiodic_convergents(periods, w, 2 * max_order)
     rows = hankel_matrix(seq, max_order)
-    dets = _bareiss(rows)[1]
-    dets += [
-        det_exact([row[: k + 1] for row in rows[: k + 1]])
-        for k in range(len(dets), max_order + 1)
-    ]
+    dets = _bareiss(rows)
     results = [
         _certified(rows, k + 1, found, lambda: dets[k])
         for k, found in enumerate(_eliminate(rows, range(1, max_order + 2)))

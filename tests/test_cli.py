@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cfmoments import cli
 from cfmoments.cli import main
 from cfmoments.exactnum import InvariantError
+from cfmoments.measures import DiscreteSignedMeasure
 
 
 def run(capsys, *argv):
@@ -91,6 +92,62 @@ def test_verify_with_truncation_cross_check(capsys):
         assert row["match"] is True
         assert row["within_bound"] is True
         assert "truncated" in row and "tail_bound" in row
+
+
+def _verify_failure(capsys, fmt, *extra):
+    """(exit code, per-row match flags, per-row within_bound flags or None,
+    verdict) of a verify run at (1, 1, 1) through n = 4."""
+    code, out, err = run(
+        capsys, "verify", "--a", "1", "--b", "1", "--w", "1",
+        "--n-max", "4", *extra, "--format", fmt,
+    )
+    assert err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        rows = payload["rows"]
+        within = [row["within_bound"] for row in rows] if extra else None
+        return code, [row["match"] for row in rows], within, payload["verdict"]
+    lines = out.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("n "))
+    cells = [line.split() for line in lines[head + 1 : head + 6]]
+    tail = dict(line.split(": ") for line in lines[head + 6 :])
+    flag = {"true": True, "false": False}
+    within = [flag[row[-1]] for row in cells] if extra else None
+    verdict = {"all_match": flag[tail["all_match"]], "mismatches": int(tail["mismatches"])}
+    return code, [flag[row[3]] for row in cells], within, verdict
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_verify_exits_1_on_a_wrong_moment(capsys, monkeypatch, fmt):
+    exact = DiscreteSignedMeasure.moments
+
+    def one_wrong(self, n_max):
+        values = exact(self, n_max)
+        values[2] = values[2] + 1
+        return values
+
+    monkeypatch.setattr(DiscreteSignedMeasure, "moments", one_wrong)
+    code, match, _, verdict = _verify_failure(capsys, fmt)
+    assert code == 1
+    assert match == [True, True, False, True, True]
+    assert verdict == {"all_match": False, "mismatches": 1}
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_verify_exits_1_on_a_truncation_outside_its_bound(capsys, monkeypatch, fmt):
+    exact = DiscreteSignedMeasure.truncated_moment
+
+    def one_outside(self, order, terms):
+        value, bound = exact(self, order, terms)
+        # |moment - value| <= bound, so this value is off by more than bound
+        return (value + 2 * bound + 1 if order == 3 else value), bound
+
+    monkeypatch.setattr(DiscreteSignedMeasure, "truncated_moment", one_outside)
+    code, match, within, verdict = _verify_failure(capsys, fmt, "--truncate", "5")
+    assert code == 1
+    assert all(match)
+    assert within == [True, True, True, False, True]
+    assert verdict == {"all_match": False, "mismatches": 1}
 
 
 # sha256 of stdout as recorded from the two-Fraction QuadElem; a = 1e-28

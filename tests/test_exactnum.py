@@ -236,7 +236,7 @@ def test_decimal_agrees_with_enclosure_width(xs):
 # integer, non-integer rational, perfect-square (folding) and zero radicands
 ORACLE_RADICANDS = [F(2), F(5), F(45), F(252), F(7, 4), F(5, 9), F(2, 3), F(64, 9), F(4), F(0)]
 ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
-# large parts make decimal() refine its first enclosure of sqrt(U)
+# large parts push decimal()'s rounding through large integers
 oracle_parts = st.one_of(
     parts, st.fractions(min_value=-10**15, max_value=10**15, max_denominator=1000)
 )

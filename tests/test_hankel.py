@@ -12,6 +12,7 @@ from cfmoments.cfrac import TwoPeriodicParams, convergents
 from cfmoments.exactnum import DomainError, InvariantError
 from cfmoments.cli import main
 from cfmoments.hankel import (
+    _bareiss,
     _eliminate,
     _quadratic_form,
     det_exact,
@@ -86,6 +87,38 @@ def test_det_invariant_under_symmetric_permutation(n, rng):
     rng.shuffle(perm)
     permuted = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     assert det_exact(permuted) == det_exact(rows)
+
+
+def _sparse_fraction(rng):
+    return F(0) if rng.random() < 0.5 else random_fraction(rng)
+
+
+def _sparse_hankel(rng, n):
+    seq = [_sparse_fraction(rng) for _ in range(2 * n - 1)]
+    return [[seq[i + j] for j in range(n)] for i in range(n)]
+
+
+def _sparse_general(rng, n):
+    return [[_sparse_fraction(rng) for _ in range(n)] for _ in range(n)]
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.randoms(use_true_random=False),
+    st.sampled_from([_sparse_hankel, _sparse_general]),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_gives_every_leading_minor(n, rng, draw_matrix):
+    # half the entries 0, so zero pivots, row swaps past the block and
+    # all-zero columns are all common
+    rows = draw_matrix(rng, n)
+    expected = [cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    assert _bareiss(rows) == expected
+
+
+def test_empty_matrix_has_determinant_one():
+    assert det_exact([]) == 1
+    assert psd_check([]).is_psd
 
 
 def test_char_poly_of_identity():
@@ -312,6 +345,25 @@ def _wrong_pivots(rows, sizes):
         yield None, [F(1)] * size
 
 
+def _unit_witness(rows, sizes):
+    # e_0 as the first block's witness, whatever the matrix
+    yield (F(1),) + (F(0),) * (next(iter(sizes)) - 1), []
+
+
+def test_a_witness_that_fails_to_certify_raises(monkeypatch, capsys):
+    monkeypatch.setattr("cfmoments.hankel._eliminate", _unit_witness)
+    with pytest.raises(InvariantError, match="witness failed to certify"):
+        psd_check([[F(1), F(0)], [F(0), F(1)]])
+    with pytest.raises(InvariantError, match="witness failed to certify"):
+        scan_kperiodic([1, 1], 1, 3)
+    code = main(["hankel-scan", "--periods", "1,1", "--w", "1", "--max-order", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: internal invariant failed: ")
+
+
 def test_scan_cross_checks_the_positive_definite_prefix(monkeypatch, capsys):
     monkeypatch.setattr("cfmoments.hankel._eliminate", _wrong_pivots)
     with pytest.raises(InvariantError, match="pivots and Bareiss determinant disagree"):
@@ -324,17 +376,29 @@ def test_scan_cross_checks_the_positive_definite_prefix(monkeypatch, capsys):
     assert captured.err.startswith("error: internal invariant failed: ")
 
 
+ONE_PASS_SCANS = [
+    ([1, 1], 1, 12),  # positive definite throughout
+    ([1], 0, 12),  # s_0 = 0: a zero pivot at order 0, then a row swap
+    ([3, 2], 0, 12),
+    ([F(3, 2)], F(1, 2), 8),  # rank one from order 1
+    ([F(3, 2), F(3, 2), F(1, 2)], F(1, 2), 8),  # zero minor, then not PSD
+]
+
+
 def test_definite_scan_runs_one_elimination(monkeypatch):
-    # a positive definite scan takes every determinant from the one Bareiss
-    # pass and every verdict from the one bordered elimination
+    # a scan takes every determinant from the one Bareiss pass, after a zero
+    # minor too, and every verdict from the one bordered elimination
+    oracles = [scan_by_orders(*scan) for scan in ONE_PASS_SCANS]
+
     def unexpected(*args):
-        pytest.fail("a positive definite order was decided again")
+        pytest.fail("an order was decided again")
 
     monkeypatch.setattr("cfmoments.hankel.det_exact", unexpected)
     monkeypatch.setattr("cfmoments.hankel.psd_check", unexpected)
-    report = scan_kperiodic([1, 1], 1, 12)
-    assert all(report.psd)
-    assert all(d > 0 for d in report.determinants)
+    for scan, oracle in zip(ONE_PASS_SCANS, oracles):
+        _assert_same_report(scan_kperiodic(*scan), oracle)
+    assert all(oracles[0].psd)
+    assert all(d > 0 for d in oracles[0].determinants)
 
 
 def _assert_same_report(report, oracle):
