@@ -6,11 +6,12 @@ import itertools
 import random
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from cfmoments.cfrac import TwoPeriodicParams, kperiodic_convergents
+from cfmoments.cli import main
 from cfmoments.exactnum import (
     DomainError,
     FieldMismatchError,
@@ -133,6 +134,100 @@ def negative_witness_eager(
             c[pivot][j] = Fraction(0)
             c[j][pivot] = Fraction(0)
     return None, pivots
+
+
+def eliminate_by_fractions(
+    rows: Sequence[Sequence[Fraction]], sizes: Iterable[int]
+) -> Iterator[Tuple[Optional[Tuple[Fraction, ...]], List[Fraction]]]:
+    """Congruence elimination over Fractions of the leading blocks of
+    ``rows`` with the increasing ``sizes``, each bordered onto the one before:
+    ``hankel._eliminate`` as it was before it ran on integers.  Yields each
+    block's (witness or None, positive pivots) and stops after a witness.
+    Fewer pivots than rows and no witness means the reduced block vanished.
+
+    A negative diagonal of the reduced block maps back to a witness through
+    that row's basis vector, and an all-zero diagonal with a nonzero
+    off-diagonal entry yields one from a +/- pair of basis vectors.
+
+    Bordering reduces each new row through the recorded pivot steps in order,
+    checking its diagonal for < 0 before each step, and then resumes.  Each
+    block before a witness is PSD, so its reduced diagonals stay >= 0 and
+    each step takes the pivot that the larger block's own elimination would:
+    every yield is what that block eliminated alone gives.  A pivot's row is
+    stale in columns bordered after it was taken, so bordering reads the
+    pivot's column, which froze at its value at that step.
+
+    Each step records only (pivot, ratios); the basis vectors a witness needs
+    are replayed from those records (``_fraction_basis_vectors``).
+    """
+    c = [list(row) for row in rows]
+    steps: List[Tuple[int, Dict[int, Fraction]]] = []
+    active: List[int] = []
+    pivots: List[Fraction] = []
+    for size in sizes:
+        new = range(len(pivots) + len(active), size)
+        for t, (p, ratios) in enumerate(steps):
+            for k in new:
+                row = c[k]
+                if row[k] < 0:
+                    yield tuple(_fraction_basis_vectors(size, steps[:t], [k])[0]), pivots[:t]
+                    return
+                ratio = ratios[k] = row[p] / pivots[t]
+                if ratio:
+                    for j in ratios:
+                        row[j] -= ratio * c[j][p]
+        for k in new:
+            for j in active:
+                c[j][k] = c[k][j]
+            active.append(k)
+        while active:
+            pivot = None
+            for i in active:
+                if c[i][i] < 0:
+                    yield tuple(_fraction_basis_vectors(size, steps, [i])[0]), pivots
+                    return
+                if c[i][i] > 0 and pivot is None:
+                    pivot = i
+            if pivot is None:
+                for i in active:
+                    for j in active:
+                        if i < j and c[i][j] != 0:
+                            sign = 1 if c[i][j] > 0 else -1
+                            u, v = _fraction_basis_vectors(size, steps, [i, j])
+                            yield tuple(x - sign * y for x, y in zip(u, v)), pivots
+                            return
+                break  # reduced block vanished
+            d = c[pivot][pivot]
+            pivots.append(d)
+            active.remove(pivot)
+            pivot_row = c[pivot]
+            ratios = {j: pivot_row[j] / d for j in active}
+            steps.append((pivot, ratios))
+            moved = [i for i in active if ratios[i] != 0]
+            for at, i in enumerate(moved):
+                row, ratio = c[i], ratios[i]
+                for j in moved[at:]:
+                    row[j] = c[j][i] = row[j] - ratio * pivot_row[j]
+        yield None, list(pivots)
+
+
+def _fraction_basis_vectors(
+    n: int, steps: List[Tuple[int, Dict[int, Fraction]]], targets: List[int]
+) -> List[List[Fraction]]:
+    """The elimination's basis vectors for rows ``targets``, replayed from its
+    steps: row j starts as e_j, and each step takes ratio_j times the pivot's
+    row from it.  Only the targets and the pivots are replayed, since those
+    are the only rows the updates read; a pivot's row is final once taken."""
+    basis = {
+        j: [Fraction(1) if t == j else Fraction(0) for t in range(n)]
+        for j in {*targets, *(pivot for pivot, _ in steps)}
+    }
+    for pivot, ratios in steps:
+        source = basis[pivot]
+        for j, ratio in ratios.items():
+            if ratio != 0 and j in basis:
+                basis[j] = [x - ratio * y for x, y in zip(basis[j], source)]
+    return [basis[j] for j in targets]
 
 
 def full_quadratic_form(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Fraction:
@@ -278,6 +373,16 @@ def collect_atoms(
     for fam in measure.families:
         atoms += (family_atom(fam, k) for k in range(max_exponent))
     return [Atom(loc, weight) for loc, weight in _merged((a.location, a.weight) for a in atoms)]
+
+
+def assert_invariant_exit(capsys, argv: List[str]) -> None:
+    """``cfmoments argv`` exits 3 with empty stdout and one error line."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: internal invariant failed: ")
 
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

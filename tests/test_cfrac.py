@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,9 +16,10 @@ from cfmoments.cfrac import (
     kperiodic_convergents,
     limit_value,
 )
-from cfmoments.exactnum import DomainError, InvariantError, QuadField
+from cfmoments.exactnum import DomainError, InvariantError, QuadElem, QuadField
 
 from helpers import (
+    assert_invariant_exit,
     convergents_by_two_step,
     fib,
     fibonacci_by_three_term,
@@ -292,3 +294,61 @@ def test_contraction_is_square_of_one_periodic_limit(coeff):
 def test_denominators_stay_positive(params):
     for conv in convergents(params, 30):
         assert conv.denominator > 0
+
+
+CLASSIFY_ONE = ["classify", "--a", "1", "--b", "1", "--w", "1"]
+
+
+@pytest.mark.parametrize(
+    "location, message",
+    [
+        ((F(1, 2), F(0)), "location ratio is not a root of x^2-(2+ab)x+1"),
+        # the other root of x^2 - 3x + 1, (3 + sqrt(5))/2
+        ((F(3, 2), F(1, 2)), "location ratio is not inside (0, 1)"),
+    ],
+)
+def test_atom_ratios_rechecks_the_location_ratio(monkeypatch, capsys, location, message):
+    monkeypatch.setattr("cfmoments.cfrac._contraction", lambda params, fld: fld.element(*location))
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        atom_ratios(TwoPeriodicParams(1, 1, 1))
+    assert_invariant_exit(capsys, CLASSIFY_ONE)
+
+
+@pytest.mark.parametrize("skewed, name", [(1, "even"), (2, "odd")])
+def test_atom_ratios_rechecks_the_weight_ratios(monkeypatch, capsys, skewed, name):
+    # the even and odd weight ratios are atom_ratios' only two quotients, in
+    # that order; the skewed one of each pair reads 2
+    divide = QuadElem.__truediv__
+    count = []
+
+    def skew(x, y):
+        count.append(None)
+        return x.field.element(2) if len(count) % 2 == skewed % 2 else divide(x, y)
+
+    monkeypatch.setattr(QuadElem, "__truediv__", skew)
+    message = f"{name} weight ratio is not inside (-1, 1)"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        atom_ratios(TwoPeriodicParams(1, 1, 1))
+    assert_invariant_exit(capsys, CLASSIFY_ONE)
+
+
+@pytest.mark.parametrize(
+    "shift, flip, message",
+    [
+        (1, 1, "limit does not satisfy a*x^2 + ab*x - b = 0"),
+        (0, -1, "limit is not the positive root"),  # the conjugate root
+    ],
+)
+def test_limit_value_rechecks_its_root(monkeypatch, shift, flip, message):
+    class Moved:
+        """The field limit_value builds its root in, with that root moved."""
+
+        def __init__(self, params):
+            self.real = QuadField(params.discriminant)
+
+        def element(self, rat, surd):
+            return self.real.element(rat + shift, flip * surd)
+
+    monkeypatch.setattr(TwoPeriodicParams, "field", lambda params: Moved(params))
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        limit_value(TwoPeriodicParams(1, 1, 1))

@@ -383,6 +383,22 @@ def assert_one_error_line(code, out, err):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convergents", "--a", "1", "--b", "1", "--n-max", "-1"], "--n-max must be >= 0"),
+        (["verify", "--a", "1", "--b", "1", "--n-max", "-1"], "--n-max must be >= 0"),
+        (["fibonacci", "--a", "1", "--n-max", "-1"], "--n-max must be >= 0"),
+        (["verify", "--a", "1", "--b", "1", "--truncate", "0"], "--truncate must be >= 1"),
+        (["hankel-scan", "--periods", "1,1", "--max-order", "-1"], "--max-order must be >= 0"),
+    ],
+)
+def test_out_of_range_sizes_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "classify", "--a", "1", "--b", "1", "--output", str(target))

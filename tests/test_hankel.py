@@ -2,18 +2,22 @@ import dataclasses
 import json
 import random
 from fractions import Fraction as F
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfmoments.cfrac import TwoPeriodicParams, convergents
+from cfmoments.cfrac import TwoPeriodicParams, convergents, kperiodic_convergents
 from cfmoments.exactnum import DomainError, InvariantError
 from cfmoments.cli import main
 from cfmoments.hankel import (
+    PsdResult,
+    ScanReport,
     _bareiss,
     _eliminate,
+    _integer_form,
     _quadratic_form,
     det_exact,
     hankel_matrix,
@@ -25,6 +29,7 @@ from cfmoments.measures import classify_positivity
 from helpers import (
     char_poly,
     cofactor_det,
+    eliminate_by_fractions,
     full_quadratic_form,
     negative_witness_eager,
     period_fractions,
@@ -113,7 +118,7 @@ def test_one_pass_gives_every_leading_minor(n, rng, draw_matrix):
     # all-zero columns are all common
     rows = draw_matrix(rng, n)
     expected = [cofactor_det([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
-    assert _bareiss(rows) == expected
+    assert _bareiss(_integer_form(rows)) == expected
 
 
 def test_empty_matrix_has_determinant_one():
@@ -165,7 +170,11 @@ def test_zero_pivot_cases(rows, is_psd):
     ],
 )
 def test_psd_verdict_is_cross_checked_against_det(monkeypatch, rows, wrong_det):
-    monkeypatch.setattr("cfmoments.hankel.det_exact", lambda matrix: wrong_det)
+    # psd_check reads the determinant from the Bareiss pass over its own
+    # integer form, not through det_exact
+    monkeypatch.setattr(
+        "cfmoments.hankel._bareiss", lambda form: [wrong_det] * len(form[0])
+    )
     with pytest.raises(InvariantError):
         psd_check(rows)
 
@@ -387,7 +396,7 @@ ONE_PASS_SCANS = [
 
 def test_definite_scan_runs_one_elimination(monkeypatch):
     # a scan takes every determinant from the one Bareiss pass, after a zero
-    # minor too, and every verdict from the one bordered elimination
+    # minor too, and every verdict from the one elimination of H_K
     oracles = [scan_by_orders(*scan) for scan in ONE_PASS_SCANS]
 
     def unexpected(*args):
@@ -474,13 +483,13 @@ def _zero_diagonal(rng, n):
 @settings(max_examples=120, deadline=None)
 def test_lazy_basis_matches_eager_basis(n, rng, draw_matrix):
     rows = draw_matrix(rng, n)
-    assert next(_eliminate(rows, [len(rows)])) == negative_witness_eager(rows)
+    assert next(_eliminate(_integer_form(rows), [len(rows)])) == negative_witness_eager(rows)
 
 
 def test_lazy_basis_pair_path_after_a_pivot():
     # after the first pivot the reduced block is [[0, -1], [-1, 0]]
     rows = [[F(1), F(1), F(1)], [F(1), F(1), F(0)], [F(1), F(0), F(1)]]
-    witness, pivots = next(_eliminate(rows, [len(rows)]))
+    witness, pivots = next(_eliminate(_integer_form(rows), [len(rows)]))
     assert (witness, pivots) == negative_witness_eager(rows)
     assert pivots == [1]
     assert witness == (-2, 1, 1)
@@ -496,11 +505,97 @@ def test_lazy_basis_pair_path_after_a_pivot():
 )
 @settings(max_examples=200, deadline=None)
 def test_bordering_matches_each_block_eliminated_alone(n, rng, draw_matrix):
-    # sizes up to 7; every order up to and including the first witness
+    # sizes up to 7; every order up to and including the first witness, from
+    # one elimination of the whole matrix
     rows = draw_matrix(rng, n)
-    for k, found in enumerate(_eliminate(rows, range(1, len(rows) + 1))):
+    for k, found in enumerate(_eliminate(_integer_form(rows), range(1, len(rows) + 1))):
         block = [row[: k + 1] for row in rows[: k + 1]]
-        assert found == next(_eliminate(block, [k + 1])), k
+        assert found == next(_eliminate(_integer_form(block), [k + 1])), k
         result = psd_check(block)
         assert (found[0] is None, found[0]) == (result.is_psd, result.witness), k
     assert found[0] is not None or k == len(rows) - 1
+
+
+ADDED_ROWS = {_singular: 1, _bordered_gram: 2}  # rows a draw adds to its n
+
+
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.randoms(use_true_random=False),
+    st.sampled_from(
+        [random_symmetric, random_gram, _singular, _zero_diagonal, _bordered_gram, _sparse_hankel]
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_elimination_matches_the_fraction_oracle(n, rng, draw_matrix):
+    # every yield, witnesses and pivots included, with the blocks taken one
+    # size at a time (the scan), all at once (psd_check) and by random steps,
+    # which leave rows of a block unpivoted beside rows below it
+    rows = draw_matrix(rng, max(1, n - ADDED_ROWS.get(draw_matrix, 0)))
+    form = _integer_form(rows)
+    size = len(rows)
+    steps = sorted({*rng.sample(range(1, size + 1), rng.randint(1, size)), size})
+    for sizes in (range(1, size + 1), [size], steps):
+        assert list(_eliminate(form, sizes)) == list(eliminate_by_fractions(rows, sizes))
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.randoms(use_true_random=False),
+    st.sampled_from([_sparse_hankel, _sparse_general]),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_quadratic_form_matches_the_full_sum(n, rng, draw_matrix):
+    # v has zero entries and may be shorter than the matrix, whose leading
+    # block it then stands for
+    rows = draw_matrix(rng, n)
+    v = tuple(_sparse_fraction(rng) for _ in range(rng.randint(0, n)))
+    block = [row[: len(v)] for row in rows[: len(v)]]
+    assert _quadratic_form(_integer_form(rows), v) == full_quadratic_form(block, v)
+
+
+def _scan_by_fraction_elimination(periods, w, max_order):
+    """The scan assembled from the Fraction elimination oracle, the Bareiss
+    minors of H_K and full quadratic forms, each verdict certified."""
+    seq = kperiodic_convergents(periods, w, 2 * max_order)
+    rows = hankel_matrix(seq, max_order)
+    dets = _bareiss(_integer_form(rows))
+    results = []
+    for k, (witness, pivots) in enumerate(
+        eliminate_by_fractions(rows, range(1, max_order + 2))
+    ):
+        if witness is None:
+            assert dets[k] == (prod(pivots) if len(pivots) == k + 1 else 0)
+        else:
+            assert full_quadratic_form(hankel_matrix(seq, k), witness) < 0
+        results.append(PsdResult(is_psd=witness is None, witness=witness))
+    first_bad = None if results[-1].is_psd else len(results) - 1
+    for order in range(len(results), max_order + 1):
+        padded = results[first_bad].witness + (F(0),) * (order - first_bad)
+        assert full_quadratic_form(hankel_matrix(seq, order), padded) < 0
+        results.append(PsdResult(is_psd=False, witness=padded))
+    return ScanReport(
+        periods=tuple(F(p) for p in periods),
+        w=F(w),
+        max_order=max_order,
+        sequence=tuple(seq),
+        determinants=tuple(dets),
+        psd=tuple(res.is_psd for res in results),
+        first_not_psd=first_bad,
+        results=tuple(results),
+    )
+
+
+@pytest.mark.parametrize(
+    "periods, w, max_order",
+    [
+        ([1, 1], 1, 24),  # positive definite throughout
+        ([3, 2], 0, 30),  # s_0 = 0: not PSD from order 1, then 29 padded witnesses
+        ([1], 0, 30),
+    ],
+)
+def test_deep_scans_match_the_fraction_elimination(periods, w, max_order):
+    _assert_same_report(
+        scan_kperiodic(periods, w, max_order),
+        _scan_by_fraction_elimination(periods, w, max_order),
+    )

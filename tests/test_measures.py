@@ -1,11 +1,18 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfmoments.cfrac import TwoPeriodicParams, atom_ratios, convergents, generalized_fibonacci
-from cfmoments.exactnum import DomainError, QuadField
+from cfmoments.cfrac import (
+    AtomRatios,
+    TwoPeriodicParams,
+    atom_ratios,
+    convergents,
+    generalized_fibonacci,
+)
+from cfmoments.exactnum import DomainError, InvariantError, QuadField
 from cfmoments.measures import (
     Atom,
     DiscreteSignedMeasure,
@@ -18,6 +25,7 @@ from cfmoments.measures import (
 )
 
 from helpers import (
+    assert_invariant_exit,
     collect_atoms,
     fib,
     moment_by_families,
@@ -343,3 +351,66 @@ def test_canonical_merges_and_drops():
     merged = measure.canonical()
     assert merged.head_atoms == (Atom(fld.one, fld.one),)
     assert merged.families == ()
+
+
+class _EvenRatio:
+    """A stand-in even weight ratio carrying the three signs that
+    classify_positivity reads: its own, and those of its sum with and its
+    difference from the odd ratio."""
+
+    def __init__(self, own, plus, minus):
+        self.own, self.plus, self.minus = own, plus, minus
+
+    def sign(self):
+        return self.own
+
+    def __add__(self, odd):
+        return _EvenRatio(self.plus, None, None)
+
+    def __sub__(self, odd):
+        return _EvenRatio(self.minus, None, None)
+
+
+class _EqualToTrueButFalsy:
+    """A sign whose ``>= 0`` flag compares equal to True yet is falsy.
+
+    ``is_positive`` is the conjunction of the three sign flags, and the
+    three checks before the last one compare each flag with its threshold;
+    so with real bools the last check can never disagree.  Only a flag whose
+    truth and equality part ways reaches it."""
+
+    def __ge__(self, zero):
+        return self
+
+    def __eq__(self, other):
+        return other is True
+
+    def __ne__(self, other):
+        return other is not True
+
+    def __bool__(self):
+        return False
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize(
+    "abw, signs, message",
+    [
+        # a = b = w = 1: every threshold holds and a >= b
+        ((1, 1, 1), (-1, 1, 1), "even-ratio sign and its w threshold disagree"),
+        ((1, 1, 1), (1, 1, -1), "ratio ordering and its w threshold disagree"),
+        ((1, 1, 1), (1, -1, 1), "-even <= odd and a >= b disagree"),
+        # a = 1, b = w = 2: both thresholds hold, a < b
+        ((1, 2, 2), (_EqualToTrueButFalsy(), -1, 1), "positivity routes disagree"),
+    ],
+)
+def test_classify_rechecks_each_route(monkeypatch, capsys, abw, signs, message):
+    monkeypatch.setattr(
+        "cfmoments.measures.atom_ratios",
+        lambda params: AtomRatios(None, _EvenRatio(*signs), None),
+    )
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        classify_positivity(TwoPeriodicParams(*abw))
+    a, b, w = (str(x) for x in abw)
+    assert_invariant_exit(capsys, ["classify", "--a", a, "--b", b, "--w", w])
