@@ -125,10 +125,14 @@ def cmd_verify(args: argparse.Namespace) -> Emission:
     if args.truncate is not None and args.truncate < 1:
         raise DomainError("--truncate must be >= 1")
     measure = moment_measure(params)
+    if args.truncate is None:
+        sums = [(mom, None, None) for mom in measure.moments(args.n_max)]
+    else:
+        sums = measure.truncated_moments(args.n_max, args.truncate)
     rows = []
     mismatches = 0
-    sweep = zip(convergents(params, args.n_max), measure.moments(args.n_max))
-    for n, (conv, mom) in enumerate(sweep):
+    sweep = zip(convergents(params, args.n_max), sums)
+    for n, (conv, (mom, value, bound)) in enumerate(sweep):
         match = mom == conv.value
         if not match:
             mismatches += 1
@@ -140,7 +144,6 @@ def cmd_verify(args: argparse.Namespace) -> Emission:
             "decimal": decimal_string(conv.value, args.digits),
         }
         if args.truncate is not None:
-            value, bound = measure.truncated_moment(n, args.truncate)
             within = abs(mom - value) <= bound
             if not within:
                 mismatches += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -46,6 +46,30 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+def surd_sign(p: int, r: int, u: int) -> int:
+    """Exact sign of p + r*sqrt(u) for integers p, r and u >= 0, decided by
+    comparing p^2 against r^2*u; u must not be a perfect square unless r = 0."""
+    sp, sr = (p > 0) - (p < 0), (r > 0) - (r < 0)
+    if sp * sr >= 0:
+        return sp or sr
+    gap = p * p - r * r * u
+    if gap == 0:
+        raise InvariantError("p^2 == r^2*d with r != 0: radicand failed to fold")
+    return sp if gap > 0 else sr
+
+
+def surd_norm(p: int, r: int, u: int) -> int:
+    """The norm p^2 - r^2*u of p + r*sqrt(u), for an element about to be
+    inverted: a zero element raises ZeroDivisionError, and a nonzero one of
+    norm 0 (u a perfect square with r != 0) raises InvariantError."""
+    norm = p * p - r * r * u
+    if norm == 0:
+        if p == 0 and r == 0:
+            raise ZeroDivisionError("inverse of zero quadratic element")
+        raise InvariantError("zero norm for a nonzero element; radicand failed to fold")
+    return norm
+
+
 class QuadField:
     """Arithmetic context for numbers ``p + r*sqrt(radicand)``.
 
@@ -63,6 +87,11 @@ class QuadField:
         self.radicand = rad
         self.root = rational_sqrt(rad)
         self._int_radicand = rad.numerator * rad.denominator
+
+    @property
+    def int_radicand(self) -> int:
+        """U = u*v for the radicand u/v, so that sqrt(u/v) = sqrt(U)/v."""
+        return self._int_radicand
 
     @property
     def is_degenerate(self) -> bool:
@@ -172,6 +201,11 @@ class QuadElem:
         """The coefficient r of sqrt(radicand) in p + r*sqrt(radicand)."""
         return Fraction(self._r * self.field.radicand.denominator, self._d)
 
+    @property
+    def triple(self) -> Tuple[int, int, int]:
+        """The reduced integer triple (P, R, D): the value is (P + R*sqrt(U))/D."""
+        return self._p, self._r, self._d
+
     # -- ring operations ---------------------------------------------------
 
     @_coerced
@@ -216,11 +250,7 @@ class QuadElem:
     def inverse(self) -> QuadElem:
         """Multiplicative inverse via the conjugate: D/(P+R*sqrt(U)) = D*(P-R*sqrt(U))/(P^2-R^2*U)."""
         p, r, d = self._p, self._r, self._d
-        norm = p * p - r * r * self.field._int_radicand
-        if norm == 0:
-            if p == 0 and r == 0:
-                raise ZeroDivisionError("inverse of zero quadratic element")
-            raise InvariantError("zero norm for a nonzero element; radicand failed to fold")
+        norm = surd_norm(p, r, self.field._int_radicand)
         if norm < 0:
             norm, d = -norm, -d
         return QuadElem(self.field, d * p, -d * r, norm, norm)
@@ -255,15 +285,8 @@ class QuadElem:
     # -- exact decisions ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of (P + R*sqrt(U))/D, decided by comparing P^2 against R^2*U."""
-        p, r = self._p, self._r
-        sp, sr = (p > 0) - (p < 0), (r > 0) - (r < 0)
-        if sp * sr >= 0:
-            return sp or sr
-        gap = p * p - r * r * self.field._int_radicand
-        if gap == 0:
-            raise InvariantError("p^2 == r^2*d with r != 0: radicand failed to fold")
-        return sp if gap > 0 else sr
+        """Exact sign of (P + R*sqrt(U))/D: the sign of P + R*sqrt(U), as D > 0."""
+        return surd_sign(self._p, self._r, self.field._int_radicand)
 
     @property
     def is_rational(self) -> bool:

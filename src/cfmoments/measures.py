@@ -14,13 +14,18 @@ denotes
 so its order-n moment is s * o^n * g*l^n / (1 - g*l^n), a plain geometric
 series.  Families sharing (g, l) share that series, so one sweep over the
 orders computes it once per group, times the group's sum of s or of o*s.
+``moment``, ``moments``, ``truncated_moment`` and ``truncated_moments`` all
+read that one sweep.  Past the powers of each distinct location, it works
+on unreduced integer triples (P, R, D) of (P + R*sqrt(U))/D and reduces
+each value it returns once; its signs and inverses are checked exactly as
+``QuadElem``'s are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple, TypeVar, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar, Union
 
 from .cfrac import TwoPeriodicParams, atom_ratios
 from .exactnum import (
@@ -29,6 +34,8 @@ from .exactnum import (
     QuadElem,
     QuadField,
     Scalar,
+    surd_norm,
+    surd_sign,
 )
 
 
@@ -67,46 +74,56 @@ class DiscreteSignedMeasure:
     bounded_support: bool = True
 
     def __post_init__(self) -> None:
+        """Check each distinct field and each distinct (name, ratio) once, in
+        first-occurrence order, so the first failure raises as it would with
+        every occurrence checked.  |x| <= 1 and |x| < 1 are decided on the
+        integer triple (P, R, D) of x as the signs of D -/+ P -/+ R*sqrt(U)."""
         rad = self.field.radicand
-        one = self.field.one
+        u = self.field.int_radicand
+        fields = {id(self.field)}  # field objects already found to share the radicand
+
+        def foreign(*parts: QuadElem) -> bool:
+            for part in parts:
+                if id(part.field) not in fields:
+                    if part.field.radicand != rad:
+                        return True
+                    fields.add(id(part.field))
+            return False
+
         for atom in self.head_atoms:
-            for part in (atom.location, atom.weight):
-                if part.field.radicand != rad:
-                    raise DomainError("atom does not live in the measure's field")
+            if foreign(atom.location, atom.weight):
+                raise DomainError("atom does not live in the measure's field")
             if self.bounded_support:
-                loc = atom.location
-                if (one - loc).sign() < 0 or (one + loc).sign() < 0:
-                    raise DomainError(f"atom location {loc} outside [-1, 1]")
+                p, r, d = atom.location.triple
+                if surd_sign(d - p, -r, u) < 0 or surd_sign(d + p, r, u) < 0:
+                    raise DomainError(f"atom location {atom.location} outside [-1, 1]")
+        checked = set()
         for fam in self.families:
-            for part in (fam.scale, fam.weight_ratio, fam.location_ratio):
-                if part.field.radicand != rad:
-                    raise DomainError("family does not live in the measure's field")
+            if foreign(fam.scale, fam.weight_ratio, fam.location_ratio):
+                raise DomainError("family does not live in the measure's field")
             if fam.location_sign not in (1, -1):
                 raise DomainError("location_sign must be +1 or -1")
             for name, ratio in (
                 ("weight", fam.weight_ratio),
                 ("location", fam.location_ratio),
             ):
-                if (one - ratio).sign() <= 0 or (one + ratio).sign() <= 0:
+                p, r, d = key = ratio.triple
+                if (name, key) in checked:
+                    continue
+                checked.add((name, key))
+                if surd_sign(d - p, -r, u) <= 0 or surd_sign(d + p, r, u) <= 0:
                     raise DomainError(f"family {name} ratio must satisfy |ratio| < 1")
 
     # -- moments -------------------------------------------------------------
 
     def moment(self, order: int) -> QuadElem:
         """Exact order-n moment, in the measure's quadratic field."""
-        return next(self._moment_sweep(order, order))
+        return self._sweep(order, order)[0][0]
 
     def moments(self, n_max: int) -> List[QuadElem]:
-        """Exact moments of orders 0..n_max, equal to ``moment(n)`` for each n."""
-        return list(self._moment_sweep(0, n_max))
-
-    def _moment_sweep(self, first: int, last: int) -> Iterator[QuadElem]:
-        """Moments of orders first..last: each group adds coeff * step/(1 - step)."""
-        for total, groups in self._sweep(first, last):
-            for coeff, _, step in groups:
-                if coeff != 0:
-                    total = total + coeff * step / (1 - step)
-            yield total
+        """Exact moments of orders 0..n_max from one sweep over the orders,
+        each equal to ``moment(n)``."""
+        return [row[0] for row in self._sweep(0, n_max)]
 
     def mass(self) -> QuadElem:
         return self.moment(0)
@@ -114,63 +131,86 @@ class DiscreteSignedMeasure:
     def truncated_moment(self, order: int, terms: int) -> Tuple[QuadElem, QuadElem]:
         """Partial moment over the first ``terms`` atoms of each family.
 
-        Returns (value, tail_bound).  The value literally sums each group's
-        series term by term (head atoms are exact), making it an independent
-        check on :meth:`moment`; the bound dominates everything left out:
-        sum of |scale| * |g*l^n|^(1+terms) / (1 - |g*l^n|) per family, taken
-        once per group as its bound weight times the group's tail.  A group
-        whose coefficient at this order's parity is 0 adds nothing to the
-        value, so only its step^terms is taken, by binary powering.
+        Returns (value, tail_bound).  The value sums each group's series
+        term by term (head atoms are exact) and never divides by 1 - step,
+        so it checks :meth:`moment`'s closed form independently; the bound
+        dominates everything left out: |scale| * |g*l^n|^(1+terms) /
+        (1 - |g*l^n|) per family, taken once per group as its bound weight
+        times the group's tail.
         """
-        value, groups = next(self._sweep(order, order))
-        if terms < 1:
-            raise DomainError("terms must be >= 1")
-        bound = self.field.zero
-        for coeff, weight, step in groups:
-            if coeff == 0:
-                last = step**terms
-            else:
-                partial, last = _geometric_partial_sum(step, terms)
-                value = value + coeff * partial
-            bound = bound + weight * abs(last * step) / (1 - abs(step))
+        _, value, bound = self._sweep(order, order, terms)[0]
         return value, bound
 
+    def truncated_moments(self, n_max: int, terms: int) -> List[Tuple[QuadElem, ...]]:
+        """(moment, truncated value, tail bound) for each order 0..n_max from
+        one sweep: row n equals ``(moment(n), *truncated_moment(n, terms))``."""
+        return self._sweep(0, n_max, terms)
+
     def _sweep(
-        self, first: int, last: int
-    ) -> Iterator[Tuple[QuadElem, List[Tuple[QuadElem, QuadElem, QuadElem]]]]:
-        """For each order n in first..last (first is 0 or last, so only a last
-        below 0 raises): the head-atom moment and, for each group of families
-        sharing (weight ratio g, location ratio l), (coefficient at the parity
-        of n, bound weight, step g*l^n).  The coefficients sum the group's scales s (even n) or
-        o*s (odd n, o the location sign); the bound weight sums |s|.  Each
-        distinct location ratio is raised by ``**`` once, at ``first``, then
-        carried to each next order by one multiplication.
+        self, first: int, last: int, terms: Optional[int] = None
+    ) -> List[Tuple[QuadElem, ...]]:
+        """The moment kernel: for each order n in first..last (first is 0 or
+        last, so only a last below 0 raises), the row (moment,), or with
+        ``terms`` (moment, truncated value, tail bound).
+
+        Families group by their step g*l^n (weight ratio g, location ratio
+        l).  A group's coefficient at the parity of n sums its scales s (even
+        n) or o*s (odd n, o the location sign); its bound weight sums |s|.
+        Each distinct location, of a head atom or a group, is raised by
+        ``**`` once, at ``first``, then carried to each next order by one
+        reduced product.  All else runs on unreduced integer triples (P, R,
+        D) of (P + R*sqrt(U))/D: each group's step, its closed-form term
+        coeff * step/(1 - step) and, with ``terms``, its partial sum and its
+        tail bound.  Each value of a row is reduced once, at the end.
         """
         if last < 0:
             raise DomainError("moment order must be >= 0")
-        zero = self.field.zero
-        cells: Dict[Tuple[QuadElem, QuadElem], List[QuadElem]] = {}
+        if terms is not None and terms < 1:
+            raise DomainError("terms must be >= 1")
+        fld = self.field
+        u = fld.int_radicand
+        cells: Dict[Tuple[_Triple, _Triple], List[_Triple]] = {}
         for fam in self.families:
-            s = fam.scale
-            cell = cells.setdefault((fam.weight_ratio, fam.location_ratio), [zero, zero, zero])
-            cell[0] = cell[0] + s
-            cell[1] = cell[1] + (s if fam.location_sign > 0 else -s)
-            cell[2] = cell[2] + abs(s)
+            p, r, d = fam.scale.triple
+            o, sign = fam.location_sign, surd_sign(p, r, u)
+            key = (fam.weight_ratio.triple, fam.location_ratio.triple)
+            cell = cells.setdefault(key, [_ZERO] * 3)
+            for i, k in enumerate((1, o, sign)):
+                cell[i] = _plus(cell[i], (k * p, k * r, d))
         heads = self.head_atoms
-        sites = [a.location for a in heads] + [ratio for _, ratio in cells]
-        ratios = list(dict.fromkeys(sites))
-        slots = [ratios.index(site) for site in sites]
+        sites = [a.location.triple for a in heads] + [location for _, location in cells]
+        distinct = list(dict.fromkeys(sites))
+        slots = [distinct.index(site) for site in sites]
+        ratios = [QuadElem(fld, p, r, d, 1) for p, r, d in distinct]
+        weights = [a.weight.triple for a in heads]
+        groups = [
+            (weight_ratio, [_reduced(fld, part).triple for part in cell])
+            for (weight_ratio, _), cell in cells.items()
+        ]
         powers = [ratio**first for ratio in ratios]
+        rows: List[Tuple[QuadElem, ...]] = []
         for order in range(first, last + 1):
             if order > first:
                 powers = [power * ratio for power, ratio in zip(powers, ratios)]
-            at = [powers[i] for i in slots]
-            moment = sum((a.weight * p for a, p in zip(heads, at)), zero)
-            groups = [
-                (cell[order % 2], cell[2], weight_ratio * power)
-                for ((weight_ratio, _), cell), power in zip(cells.items(), at[len(heads):])
-            ]
-            yield moment, groups
+            at = [powers[i].triple for i in slots]
+            moment = _ZERO
+            for weight, power in zip(weights, at):
+                moment = _plus(moment, _times(weight, power, u))
+            value, bound = moment, _ZERO
+            for (weight_ratio, cell), power in zip(groups, at[len(heads):]):
+                p, r, d = _times(weight_ratio, power, u)
+                coeff = cell[order % 2]
+                if coeff[0] or coeff[1]:
+                    moment = _plus(moment, _times(coeff, _quotient(p, r, d - p, -r, u), u))
+                    if terms:
+                        value = _plus(value, _times(coeff, _partial_sum(p, r, d, u, terms), u))
+                if terms:
+                    bound = _plus(bound, _tail(cell[2], p, r, d, u, terms))
+            if terms:
+                rows.append((_reduced(fld, moment), _reduced(fld, value), _reduced(fld, bound)))
+            else:
+                rows.append((_reduced(fld, moment),))
+        return rows
 
     # -- structure -----------------------------------------------------------
 
@@ -234,17 +274,58 @@ class DiscreteSignedMeasure:
         return DiscreteSignedMeasure(self.field, heads, fams, self.bounded_support)
 
 
-def _geometric_partial_sum(step: QuadElem, terms: int) -> Tuple[QuadElem, QuadElem]:
-    """(S_terms, step^terms) for the partial sums S_m = step + ... + step^m.
+_Triple = Tuple[int, int, int]
+_ZERO: _Triple = (0, 0, 1)
 
-    Term by term as S_m = step * (1 + S_{m-1}): a product by the small step
-    and an addition of 1 need no gcd of two large denominators, as adding
-    step^m would.  The last term walked is S_terms - S_(terms-1).
-    """
-    previous, total = step.field.zero, step
-    for _ in range(terms - 1):
-        previous, total = total, (total + 1) * step
-    return total, total - previous
+
+def _times(x: _Triple, y: _Triple, u: int) -> _Triple:
+    """The product of two triples (P, R, D) over the radicand u, unreduced."""
+    (p1, r1, d1), (p2, r2, d2) = x, y
+    return p1 * p2 + r1 * r2 * u, p1 * r2 + r1 * p2, d1 * d2
+
+
+def _plus(x: _Triple, y: _Triple) -> _Triple:
+    """The sum of two triples (P, R, D), over the product of their D, unreduced."""
+    (p1, r1, d1), (p2, r2, d2) = x, y
+    return p1 * d2 + p2 * d1, r1 * d2 + r2 * d1, d1 * d2
+
+
+def _quotient(xp: int, xr: int, yp: int, yr: int, u: int) -> _Triple:
+    """x/y = x*conj(y)/N(y) for x = xp + xr*sqrt(u) and y = yp + yr*sqrt(u),
+    as an unreduced triple whose D = |N(y)| > 0.  N(y) = 0 raises as
+    ``QuadElem.inverse`` does."""
+    norm = surd_norm(yp, yr, u)
+    p, r = xp * yp - xr * yr * u, xr * yp - xp * yr
+    return (p, r, norm) if norm > 0 else (-p, -r, -norm)
+
+
+def _partial_sum(p: int, r: int, d: int, u: int, terms: int) -> _Triple:
+    """S_terms = step + ... + step^terms for step = (p + r*sqrt(u))/d, over
+    d^terms, summed term by term as S_m = step * (1 + S_(m-1)): integer
+    products only, no division by 1 - step."""
+    sp, sr, sd = 0, 0, 1
+    for _ in range(terms):
+        sp, sr, sd = p * (sd + sp) + r * sr * u, p * sr + r * (sd + sp), sd * d
+    return sp, sr, sd
+
+
+def _tail(weight: _Triple, p: int, r: int, d: int, u: int, terms: int) -> _Triple:
+    """weight * |step|^(terms+1) / (1 - |step|) for step = (p + r*sqrt(u))/d,
+    where |step| = sign * step by the exact sign of p + r*sqrt(u)."""
+    sign = surd_sign(p, r, u)
+    if not sign:
+        return _ZERO
+    p, r = sign * p, sign * r
+    tp, tr = p, r
+    for _ in range(terms):
+        tp, tr = tp * p + tr * r * u, tp * r + tr * p
+    qp, qr, qd = _quotient(tp, tr, d - p, -r, u)
+    return _times(weight, (qp, qr, qd * d**terms), u)
+
+
+def _reduced(fld: QuadField, x: _Triple) -> QuadElem:
+    """The triple (P, R, D), D > 0, as a reduced element of ``fld``."""
+    return QuadElem(fld, x[0], x[1], x[2], x[2])
 
 
 def _merged(items: Iterable[Tuple[_Key, QuadElem]]) -> List[Tuple[_Key, QuadElem]]:

@@ -349,6 +349,85 @@ def truncated_by_families(
     return value, bound
 
 
+def quadelem_sweep(
+    measure: DiscreteSignedMeasure, first: int, last: int
+) -> Iterator[Tuple[QuadElem, List[Tuple[QuadElem, QuadElem, QuadElem]]]]:
+    """The grouped sweep in reduced ``QuadElem`` arithmetic, as the library
+    ran it before its integer kernel.  For each order n in first..last (first
+    is 0 or last): the head-atom moment and, for each group of families
+    sharing (weight ratio g, location ratio l), (coefficient at the parity of
+    n, bound weight, step g*l^n).  The coefficients sum the group's scales s
+    (even n) or o*s (odd n); the bound weight sums |s|.  Each distinct
+    location is raised by ``**`` once, at ``first``, then carried to each
+    next order by one multiplication."""
+    if last < 0:
+        raise DomainError("moment order must be >= 0")
+    zero = measure.field.zero
+    cells: Dict[Tuple[QuadElem, QuadElem], List[QuadElem]] = {}
+    for fam in measure.families:
+        s = fam.scale
+        cell = cells.setdefault((fam.weight_ratio, fam.location_ratio), [zero, zero, zero])
+        cell[0] = cell[0] + s
+        cell[1] = cell[1] + (s if fam.location_sign > 0 else -s)
+        cell[2] = cell[2] + abs(s)
+    heads = measure.head_atoms
+    sites = [a.location for a in heads] + [ratio for _, ratio in cells]
+    ratios = list(dict.fromkeys(sites))
+    slots = [ratios.index(site) for site in sites]
+    powers = [ratio**first for ratio in ratios]
+    for order in range(first, last + 1):
+        if order > first:
+            powers = [power * ratio for power, ratio in zip(powers, ratios)]
+        at = [powers[i] for i in slots]
+        moment = sum((a.weight * p for a, p in zip(heads, at)), zero)
+        groups = [
+            (cell[order % 2], cell[2], weight_ratio * power)
+            for ((weight_ratio, _), cell), power in zip(cells.items(), at[len(heads):])
+        ]
+        yield moment, groups
+
+
+def moments_by_quadelem_sweep(
+    measure: DiscreteSignedMeasure, first: int, last: int
+) -> Iterator[QuadElem]:
+    """Moments of orders first..last: each group adds coeff * step/(1 - step)."""
+    for total, groups in quadelem_sweep(measure, first, last):
+        for coeff, _, step in groups:
+            if coeff != 0:
+                total = total + coeff * step / (1 - step)
+        yield total
+
+
+def truncated_by_quadelem_sweep(
+    measure: DiscreteSignedMeasure, order: int, terms: int
+) -> Tuple[QuadElem, QuadElem]:
+    """(value, tail bound) from ``quadelem_sweep``: each group's series summed
+    term by term by ``geometric_partial_sum``, and its bound weight times
+    |step|^(1+terms) / (1 - |step|)."""
+    value, groups = next(quadelem_sweep(measure, order, order))
+    if terms < 1:
+        raise DomainError("terms must be >= 1")
+    bound = measure.field.zero
+    for coeff, weight, step in groups:
+        if coeff == 0:
+            last = step**terms
+        else:
+            partial, last = geometric_partial_sum(step, terms)
+            value = value + coeff * partial
+        bound = bound + weight * abs(last * step) / (1 - abs(step))
+    return value, bound
+
+
+def geometric_partial_sum(step: QuadElem, terms: int) -> Tuple[QuadElem, QuadElem]:
+    """(S_terms, step^terms) for the partial sums S_m = step + ... + step^m,
+    term by term as S_m = step * (1 + S_{m-1}) in reduced ``QuadElem``s.
+    The last term walked is S_terms - S_(terms-1)."""
+    previous, total = step.field.zero, step
+    for _ in range(terms - 1):
+        previous, total = total, (total + 1) * step
+    return total, total - previous
+
+
 def family_atom(fam: GeometricAtomFamily, k: int) -> Atom:
     """The k-th atom (k >= 0) of a geometric family, at exponent 1 + k."""
     if k < 0:

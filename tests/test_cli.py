@@ -135,14 +135,16 @@ def test_verify_exits_1_on_a_wrong_moment(capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "plain"])
 def test_verify_exits_1_on_a_truncation_outside_its_bound(capsys, monkeypatch, fmt):
-    exact = DiscreteSignedMeasure.truncated_moment
+    exact = DiscreteSignedMeasure.truncated_moments
 
-    def one_outside(self, order, terms):
-        value, bound = exact(self, order, terms)
+    def one_outside(self, n_max, terms):
+        rows = exact(self, n_max, terms)
+        moment, value, bound = rows[3]
         # |moment - value| <= bound, so this value is off by more than bound
-        return (value + 2 * bound + 1 if order == 3 else value), bound
+        rows[3] = moment, value + 2 * bound + 1, bound
+        return rows
 
-    monkeypatch.setattr(DiscreteSignedMeasure, "truncated_moment", one_outside)
+    monkeypatch.setattr(DiscreteSignedMeasure, "truncated_moments", one_outside)
     code, match, within, verdict = _verify_failure(capsys, fmt, "--truncate", "5")
     assert code == 1
     assert all(match)

@@ -21,16 +21,18 @@ from cfmoments.measures import (
     classify_positivity,
     even_odd_measures,
     moment_measure,
-    _geometric_partial_sum,
 )
 
 from helpers import (
     assert_invariant_exit,
     collect_atoms,
     fib,
+    geometric_partial_sum,
     moment_by_families,
+    moments_by_quadelem_sweep,
     param_triples,
     truncated_by_families,
+    truncated_by_quadelem_sweep,
 )
 
 SAMPLE_PARAMS = [
@@ -42,6 +44,8 @@ SAMPLE_PARAMS = [
     TwoPeriodicParams(2, 7, 0),
     TwoPeriodicParams(1, F(4, 3), 2),  # degenerate field
 ]
+# a = 1e-28 makes every radicand, moment, partial sum and bound a large triple
+LARGE_OPERANDS = TwoPeriodicParams(F("1e-28"), F(3, 2), F(1, 3))
 
 
 def test_even_and_odd_measures_share_the_head_atom():
@@ -221,6 +225,92 @@ def test_moment_sweeps_match_the_per_family_oracles_on_fixed_measures(n):
             sweeps_match_families(measure, n, terms)
 
 
+def kernel_matches_oracles(measure, n, terms):
+    """The integer kernel against the reduced QuadElem sweep it replaced and
+    the per-family formulas, through order n; every truncated_moments row
+    against its single-order calls."""
+    moments = measure.moments(n)
+    assert moments == list(moments_by_quadelem_sweep(measure, 0, n))
+    assert moments == [moment_by_families(measure, k) for k in range(n + 1)]
+    assert measure.moment(n) == moments[n]
+    truncated = measure.truncated_moment(n, terms)
+    assert truncated == truncated_by_quadelem_sweep(measure, n, terms)
+    assert truncated == truncated_by_families(measure, n, terms)
+    rows = measure.truncated_moments(n, terms)
+    assert rows == [(measure.moment(k), *measure.truncated_moment(k, terms)) for k in range(n + 1)]
+    assert rows[n][1:] == truncated and [row[0] for row in rows] == moments
+
+
+@settings(max_examples=40, deadline=None)
+@given(param_triples, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=12))
+def test_integer_kernel_matches_the_quadelem_sweep(params, n, terms):
+    rho = moment_measure(params)
+    derived = (
+        rho,
+        rho.reflected(),
+        rho.scaled(F(-3, 2)),
+        rho.with_head(F(-1, 2), 3),
+        rho + rho.scaled(-1),  # not canonical: every group's coefficients sum to 0
+    )
+    for measure in derived:
+        kernel_matches_oracles(measure, n, terms)
+
+
+@pytest.mark.parametrize("n, terms", [(0, 1), (1, 12), (6, 3), (17, 7), (40, 12)])
+def test_integer_kernel_matches_the_quadelem_sweep_on_fixed_measures(n, terms):
+    fixed = (
+        binet_measure(),  # head atoms only, outside [-1, 1]
+        golden_ratio_measure(),  # a negative location ratio
+        moment_measure(SAMPLE_PARAMS[-1]),  # degenerate field
+        moment_measure(LARGE_OPERANDS),
+    )
+    for measure in fixed:
+        kernel_matches_oracles(measure, n, terms)
+
+
+def _fold_failure(monkeypatch, square):
+    """A measure whose one step at order 0 is 2 - sqrt(5), with the field's
+    integer radicand then set to the perfect square ``square``: a radicand
+    that failed to fold, as only a bug could leave it."""
+    fld = QuadField(5)
+    step = fld.element(2, -1)
+    measure = DiscreteSignedMeasure(fld, (), (GeometricAtomFamily(fld.one, step, fld.one / 2),))
+    monkeypatch.setattr(fld, "_int_radicand", square)
+    return measure
+
+
+@pytest.mark.parametrize(
+    "square, truncate, message",
+    [
+        # 1 - step = -1 + sqrt(5) has norm 1 - 1 = 0
+        (1, None, "zero norm for a nonzero element"),
+        # 2 - sqrt(4): the sign of the step is undecidable
+        (4, 1, "p^2 == r^2*d with r != 0"),
+        # the step is negative and 1 - |step| = 3 - sqrt(9) has norm 0
+        (9, 1, "zero norm for a nonzero element"),
+    ],
+)
+def test_kernel_keeps_the_quadelem_checks(monkeypatch, capsys, square, truncate, message):
+    measure = _fold_failure(monkeypatch, square)
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        if truncate is None:
+            measure.moment(0)
+        else:
+            measure.truncated_moment(0, truncate)
+    monkeypatch.setattr("cfmoments.cli.moment_measure", lambda params: measure)
+    argv = ["verify", "--a", "1", "--b", "1", "--n-max", "0"]
+    assert_invariant_exit(capsys, argv + ([] if truncate is None else ["--truncate", "1"]))
+
+
+def test_kernel_refuses_a_step_of_one(monkeypatch):
+    # validation keeps |ratio| < 1; past it, 1 - step = 0 raises as QuadElem.inverse does
+    monkeypatch.setattr(DiscreteSignedMeasure, "__post_init__", lambda self: None)
+    fld = QuadField(5)
+    unit = DiscreteSignedMeasure(fld, (), (GeometricAtomFamily(fld.one, fld.one, fld.one),))
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        unit.moment(3)
+
+
 def test_groups_whose_coefficients_cancel_still_bound_the_tail():
     rho = moment_measure(TwoPeriodicParams(2, 7, 1))
     null = rho + rho.scaled(-1)  # not canonical: every group's coefficients sum to 0
@@ -243,7 +333,7 @@ def test_negative_order_is_rejected_before_terms():
 def test_partial_sum_matches_summed_powers(params, order, terms):
     ratios = atom_ratios(params)
     step = ratios.odd_weight * ratios.location**order
-    total, last = _geometric_partial_sum(step, terms)
+    total, last = geometric_partial_sum(step, terms)
     assert last == step**terms
     assert total == sum((step**m for m in range(1, terms + 1)), step.field.zero)
 
@@ -335,6 +425,36 @@ def test_measure_validation():
             (),
             (GeometricAtomFamily(fld.one, too_big, fld.element(F(1, 2))),),
         )
+
+
+def _family(fld, weight=F(1, 2), location=F(1, 3), sign=1, scale=1):
+    return GeometricAtomFamily(fld.element(scale), fld.element(weight), fld.element(location), sign)
+
+
+def _validation_cases():
+    fld, other = QuadField(5), QuadField(7)
+    ok = _family(fld)
+    return [
+        ((Atom(other.one, fld.one),), (ok,), "atom does not live in the measure's field"),
+        ((Atom(fld.element(-2), fld.one),), (ok,), "atom location -2 outside [-1, 1]"),
+        ((), (ok, GeometricAtomFamily(other.one, fld.one / 2, fld.one / 3)),
+         "family does not live in the measure's field"),
+        ((), (ok, _family(fld, sign=2)), "location_sign must be +1 or -1"),
+        ((), (ok, _family(fld, weight=-1)), "family weight ratio must satisfy |ratio| < 1"),
+        ((), (ok, _family(fld, location=1)), "family location ratio must satisfy |ratio| < 1"),
+        # checked ratios are skipped, not the first failure that follows them
+        ((), (ok, ok, _family(fld, weight=F(1, 3), location=F(3, 2))),
+         "family location ratio must satisfy |ratio| < 1"),
+        # a field object equal to the measure's passes, then the other one fails
+        ((Atom(QuadField(5).one, fld.one),), (ok, _family(other)),
+         "family does not live in the measure's field"),
+    ]
+
+
+@pytest.mark.parametrize("heads, families, message", _validation_cases())
+def test_each_validation_message_still_raises(heads, families, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        DiscreteSignedMeasure(QuadField(5), heads, families)
 
 
 def test_canonical_merges_and_drops():
