@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import (
@@ -31,6 +32,9 @@ from .exactnum import (
     QuadElem,
     QuadField,
     Scalar,
+    _quotient,
+    _reduced,
+    surd_sign,
 )
 
 
@@ -58,12 +62,21 @@ class TwoPeriodicParams:
 
     @property
     def discriminant(self) -> Fraction:
-        """The radicand a^2*b^2 + 4*a*b appearing in all closed forms."""
-        ab = self.a * self.b
-        return ab * ab + 4 * ab
+        """The radicand a^2*b^2 + 4*a*b appearing in all closed forms: with
+        ab = m/k in lowest terms, m(m + 4k)/k^2, also in lowest terms."""
+        m, k = _product_terms(self)
+        return Fraction(m * (m + 4 * k), k * k)
 
     def field(self) -> QuadField:
         return QuadField(self.discriminant)
+
+
+def _product_terms(params: TwoPeriodicParams) -> Tuple[int, int]:
+    """(m, k) with ab = m/k in lowest terms."""
+    m = params.a.numerator * params.b.numerator
+    k = params.a.denominator * params.b.denominator
+    g = gcd(m, k)
+    return m // g, k // g
 
 
 class Convergent(NamedTuple):
@@ -131,32 +144,61 @@ def _period_map(
 
 
 def _contraction(params: TwoPeriodicParams, fld: QuadField) -> QuadElem:
-    # root in (0,1) of x^2 - (2+ab)x + 1 = 0
-    ab = params.a * params.b
-    return fld.element((2 + ab) / 2, Fraction(-1, 2))
+    """The root in (0, 1) of x^2 - (2+ab)x + 1, in the field of ``params``:
+    with ab = m/k in lowest terms, ((2k + m)k - sqrt(U))/(2k^2) over the
+    integer radicand U = m(m + 4k)k^2, a triple already reduced unless the
+    field is degenerate."""
+    m, k = _product_terms(params)
+    if fld.root is None:
+        return QuadElem(fld, (2 * k + m) * k, -1, 2 * k * k, 1)
+    return QuadElem(fld, (2 * k + m) * k - isqrt(fld.int_radicand), 0, 2 * k * k, 2 * k * k)
 
 
 def atom_ratios(params: TwoPeriodicParams) -> AtomRatios:
     """Location and weight ratios, with their defining identities re-checked.
 
+    With the location q = (p + r*sqrt(U))/d, a = an/ad and w = wn/wd, each
+    weight ratio is one conjugate division of integer triples:
+
+        even = q(aw - (1 - q)) / (q*aw + 1 - q),
+        odd  = (q*a - (1 - q)w) / (a + (1 - q)w).
+
     Raises InvariantError if the computed values fail x^2-(2+ab)x+1 = 0,
-    0 < location < 1, or |weight ratio| < 1 — all decided exactly.
+    0 < location < 1, or |weight ratio| < 1 — all decided exactly, on the
+    triples, by ``surd_sign``.
     """
     fld = params.field()
-    a, w = params.a, params.w
-    ab = params.a * params.b
+    u = fld.int_radicand
     loc = _contraction(params, fld)
-    one = fld.one
-    even = (loc * (a * w - (one - loc))) / (loc * a * w + one - loc)
-    odd = (loc * a - (one - loc) * w) / (a + (one - loc) * w)
-    if loc * loc - (2 + ab) * loc + 1 != 0:
+    p, r, d = loc.triple
+    an, ad = params.a.numerator, params.a.denominator
+    wn, wd = params.w.numerator, params.w.denominator
+    # even = X/(d*Y), with aw = aw_n/aw_d: X is its numerator times aw_d*d^2,
+    # Y its denominator times aw_d*d
+    aw_n, aw_d = an * wn, ad * wd
+    tp, tr = aw_n * d - aw_d * (d - p), aw_d * r
+    even = _quotient(
+        p * tp + r * tr * u,
+        p * tr + r * tp,
+        d * (aw_n * p + aw_d * (d - p)),
+        d * (aw_n - aw_d) * r,
+        u,
+    )
+    # odd: numerator and denominator both times ad*wd*d
+    a_w, w_a = an * wd, wn * ad
+    odd = _quotient(p * a_w - (d - p) * w_a, r * (a_w + w_a), a_w * d + w_a * (d - p), -w_a * r, u)
+    m, k = _product_terms(params)
+    # k*d^2 * (q^2 - (2 + m/k)q + 1), part by part
+    if k * (p * p + r * r * u + d * d) != (2 * k + m) * d * p or r * (2 * k * p - (2 * k + m) * d):
         raise InvariantError("location ratio is not a root of x^2-(2+ab)x+1")
-    if loc.sign() <= 0 or (one - loc).sign() <= 0:
+    if surd_sign(p, r, u) <= 0 or surd_sign(d - p, -r, u) <= 0:
         raise InvariantError("location ratio is not inside (0, 1)")
-    for name, ratio in (("even", even), ("odd", odd)):
-        if (one - ratio).sign() <= 0 or (one + ratio).sign() <= 0:
+    ratios = [_reduced(fld, even), _reduced(fld, odd)]
+    for name, ratio in zip(("even", "odd"), ratios):
+        p, r, d = ratio.triple
+        if surd_sign(d - p, -r, u) <= 0 or surd_sign(d + p, r, u) <= 0:
             raise InvariantError(f"{name} weight ratio is not inside (-1, 1)")
-    return AtomRatios(location=loc, even_weight=even, odd_weight=odd)
+    return AtomRatios(loc, *ratios)
 
 
 def denominator_closed_form(params: TwoPeriodicParams, n: int) -> QuadElem:

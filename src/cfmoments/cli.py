@@ -31,6 +31,7 @@ from .cfrac import (
     TwoPeriodicParams,
     convergents,
     generalized_fibonacci,
+    kperiodic_convergents,
 )
 from .exactnum import DomainError, InvariantError, decimal_string, parse_rational
 from .hankel import scan_kperiodic
@@ -131,17 +132,17 @@ def cmd_verify(args: argparse.Namespace) -> Emission:
         sums = measure.truncated_moments(args.n_max, args.truncate)
     rows = []
     mismatches = 0
-    sweep = zip(convergents(params, args.n_max), sums)
-    for n, (conv, (mom, value, bound)) in enumerate(sweep):
-        match = mom == conv.value
+    truncations = kperiodic_convergents([params.a, params.b], params.w, args.n_max)
+    for n, (s_n, (mom, value, bound)) in enumerate(zip(truncations, sums)):
+        match = mom == s_n
         if not match:
             mismatches += 1
         row = {
             "n": n,
-            "s": str(conv.value),
+            "s": str(s_n),
             "moment": str(mom),
             "match": match,
-            "decimal": decimal_string(conv.value, args.digits),
+            "decimal": decimal_string(s_n, args.digits),
         }
         if args.truncate is not None:
             within = abs(mom - value) <= bound

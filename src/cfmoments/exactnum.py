@@ -13,6 +13,10 @@ triple.  An operation costs integer products and gcds of bounded size: a
 sum is reduced only by a factor of gcd(D1, D2), a product only by one its
 smaller factor's norm allows.  There is no floating point anywhere; signs,
 comparisons and decimal renderings are decided by exact integer arithmetic.
+
+The integer kernels of ``cfrac`` and ``measures`` work on such triples
+unreduced, through ``_times``, ``_plus`` and ``_quotient``, and reduce each
+value they return once, by ``_reduced``.
 """
 
 from __future__ import annotations
@@ -68,6 +72,35 @@ def surd_norm(p: int, r: int, u: int) -> int:
             raise ZeroDivisionError("inverse of zero quadratic element")
         raise InvariantError("zero norm for a nonzero element; radicand failed to fold")
     return norm
+
+
+_Triple = Tuple[int, int, int]
+
+
+def _times(x: _Triple, y: _Triple, u: int) -> _Triple:
+    """The product of two triples (P, R, D) over the radicand u, unreduced."""
+    (p1, r1, d1), (p2, r2, d2) = x, y
+    return p1 * p2 + r1 * r2 * u, p1 * r2 + r1 * p2, d1 * d2
+
+
+def _plus(x: _Triple, y: _Triple) -> _Triple:
+    """The sum of two triples (P, R, D), over the product of their D, unreduced."""
+    (p1, r1, d1), (p2, r2, d2) = x, y
+    return p1 * d2 + p2 * d1, r1 * d2 + r2 * d1, d1 * d2
+
+
+def _quotient(xp: int, xr: int, yp: int, yr: int, u: int) -> _Triple:
+    """x/y = x*conj(y)/N(y) for x = xp + xr*sqrt(u) and y = yp + yr*sqrt(u),
+    as an unreduced triple whose D = |N(y)| > 0.  N(y) = 0 raises as
+    ``QuadElem.inverse`` does."""
+    norm = surd_norm(yp, yr, u)
+    p, r = xp * yp - xr * yr * u, xr * yp - xp * yr
+    return (p, r, norm) if norm > 0 else (-p, -r, -norm)
+
+
+def _reduced(fld: QuadField, x: _Triple) -> QuadElem:
+    """The triple (P, R, D), D > 0, as a reduced element of ``fld``."""
+    return QuadElem(fld, x[0], x[1], x[2], x[2])
 
 
 class QuadField:
@@ -354,17 +387,26 @@ class QuadElem:
         return _format_scaled((top + shift) // (2 * d), digits)
 
     def __str__(self) -> str:
-        if self._r == 0:
-            return str(self.rat)
-        surd = self.surd
-        surd_txt = f"{abs(surd)}*sqrt({self.field.radicand})"
-        if self._p == 0:
-            return surd_txt if surd > 0 else f"-{surd_txt}"
-        op = "+" if surd > 0 else "-"
-        return f"{self.rat} {op} {surd_txt}"
+        """``rat``, ``surd*sqrt(radicand)`` or ``rat +/- |surd|*sqrt(radicand)``,
+        each part written as its Fraction would be, from the triple."""
+        p, r, d = self._p, self._r, self._d
+        if r == 0:
+            return _ratio_text(p, d)
+        rad = self.field.radicand
+        surd_txt = f"{_ratio_text(abs(r) * rad.denominator, d)}*sqrt({rad})"
+        if p == 0:
+            return surd_txt if r > 0 else f"-{surd_txt}"
+        op = "+" if r > 0 else "-"
+        return f"{_ratio_text(p, d)} {op} {surd_txt}"
 
     def __repr__(self) -> str:
         return f"QuadElem({self.rat!r}, {self.surd!r}, sqrt={self.field.radicand!r})"
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _round_half_even(num: int, den: int) -> int:

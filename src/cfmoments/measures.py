@@ -34,7 +34,11 @@ from .exactnum import (
     QuadElem,
     QuadField,
     Scalar,
-    surd_norm,
+    _plus,
+    _quotient,
+    _reduced,
+    _times,
+    _Triple,
     surd_sign,
 )
 
@@ -156,12 +160,12 @@ class DiscreteSignedMeasure:
         Families group by their step g*l^n (weight ratio g, location ratio
         l).  A group's coefficient at the parity of n sums its scales s (even
         n) or o*s (odd n, o the location sign); its bound weight sums |s|.
-        Each distinct location, of a head atom or a group, is raised by
-        ``**`` once, at ``first``, then carried to each next order by one
-        reduced product.  All else runs on unreduced integer triples (P, R,
-        D) of (P + R*sqrt(U))/D: each group's step, its closed-form term
-        coeff * step/(1 - step) and, with ``terms``, its partial sum and its
-        tail bound.  Each value of a row is reduced once, at the end.
+        Each distinct location other than 1, of a head atom or a group, is
+        raised by ``**`` once, at ``first``, then carried to each next order
+        by one reduced product.  All else runs on unreduced integer triples
+        (P, R, D) of (P + R*sqrt(U))/D: each group's step, its closed-form
+        term coeff * step/(1 - step) and, with ``terms``, its partial sum and
+        its tail bound.  Each value of a row is reduced once, at the end.
         """
         if last < 0:
             raise DomainError("moment order must be >= 0")
@@ -179,9 +183,11 @@ class DiscreteSignedMeasure:
                 cell[i] = _plus(cell[i], (k * p, k * r, d))
         heads = self.head_atoms
         sites = [a.location.triple for a in heads] + [location for _, location in cells]
-        distinct = list(dict.fromkeys(sites))
-        slots = [distinct.index(site) for site in sites]
-        ratios = [QuadElem(fld, p, r, d, 1) for p, r, d in distinct]
+        # slot 0 holds the power of 1, which never moves; slot i > 0 the power
+        # of moving[i - 1]
+        moving = [site for site in dict.fromkeys(sites) if site != _ONE]
+        slots = [moving.index(site) + 1 if site != _ONE else 0 for site in sites]
+        ratios = [QuadElem(fld, p, r, d, 1) for p, r, d in moving]
         weights = [a.weight.triple for a in heads]
         groups = [
             (weight_ratio, [_reduced(fld, part).triple for part in cell])
@@ -192,7 +198,8 @@ class DiscreteSignedMeasure:
         for order in range(first, last + 1):
             if order > first:
                 powers = [power * ratio for power, ratio in zip(powers, ratios)]
-            at = [powers[i].triple for i in slots]
+            table = [_ONE] + [power.triple for power in powers]
+            at = [table[i] for i in slots]
             moment = _ZERO
             for weight, power in zip(weights, at):
                 moment = _plus(moment, _times(weight, power, u))
@@ -274,29 +281,8 @@ class DiscreteSignedMeasure:
         return DiscreteSignedMeasure(self.field, heads, fams, self.bounded_support)
 
 
-_Triple = Tuple[int, int, int]
 _ZERO: _Triple = (0, 0, 1)
-
-
-def _times(x: _Triple, y: _Triple, u: int) -> _Triple:
-    """The product of two triples (P, R, D) over the radicand u, unreduced."""
-    (p1, r1, d1), (p2, r2, d2) = x, y
-    return p1 * p2 + r1 * r2 * u, p1 * r2 + r1 * p2, d1 * d2
-
-
-def _plus(x: _Triple, y: _Triple) -> _Triple:
-    """The sum of two triples (P, R, D), over the product of their D, unreduced."""
-    (p1, r1, d1), (p2, r2, d2) = x, y
-    return p1 * d2 + p2 * d1, r1 * d2 + r2 * d1, d1 * d2
-
-
-def _quotient(xp: int, xr: int, yp: int, yr: int, u: int) -> _Triple:
-    """x/y = x*conj(y)/N(y) for x = xp + xr*sqrt(u) and y = yp + yr*sqrt(u),
-    as an unreduced triple whose D = |N(y)| > 0.  N(y) = 0 raises as
-    ``QuadElem.inverse`` does."""
-    norm = surd_norm(yp, yr, u)
-    p, r = xp * yp - xr * yr * u, xr * yp - xp * yr
-    return (p, r, norm) if norm > 0 else (-p, -r, -norm)
+_ONE: _Triple = (1, 0, 1)
 
 
 def _partial_sum(p: int, r: int, d: int, u: int, terms: int) -> _Triple:
@@ -323,11 +309,6 @@ def _tail(weight: _Triple, p: int, r: int, d: int, u: int, terms: int) -> _Tripl
     return _times(weight, (qp, qr, qd * d**terms), u)
 
 
-def _reduced(fld: QuadField, x: _Triple) -> QuadElem:
-    """The triple (P, R, D), D > 0, as a reduced element of ``fld``."""
-    return QuadElem(fld, x[0], x[1], x[2], x[2])
-
-
 def _merged(items: Iterable[Tuple[_Key, QuadElem]]) -> List[Tuple[_Key, QuadElem]]:
     """(key, sum of its values) for each distinct key, sorted by key, zero sums
     dropped.  Values collect in one list per key, so each item costs a single
@@ -342,6 +323,18 @@ def _merged(items: Iterable[Tuple[_Key, QuadElem]]) -> List[Tuple[_Key, QuadElem
 # -- constructors -------------------------------------------------------------
 
 
+def _head_and_spread(params: TwoPeriodicParams, q: QuadElem) -> Tuple[Atom, _Triple]:
+    """The head atom (1 - q)/a at 1, and (1/q - q)/a = (1 - q^2)/(q*a) as an
+    unreduced triple, for the location ratio q."""
+    fld = q.field
+    p, r, d = q.triple
+    an, ad = params.a.numerator, params.a.denominator
+    head = Atom(fld.one, _reduced(fld, ((d - p) * ad, -r * ad, d * an)))
+    u = fld.int_radicand
+    spread = _quotient((d * d - p * p - r * r * u) * ad, -2 * p * r * ad, d * an * p, d * an * r, u)
+    return head, spread
+
+
 def even_odd_measures(
     params: TwoPeriodicParams,
 ) -> Tuple[DiscreteSignedMeasure, DiscreteSignedMeasure]:
@@ -353,44 +346,48 @@ def even_odd_measures(
     odd moments reproduce s_n.
     """
     ratios = atom_ratios(params)
-    fld = ratios.location.field
-    a = params.a
     q = ratios.location
-    head = Atom(fld.one, (fld.one - q) / a)
-    scale = (q.inverse() - q) / a
-    even = DiscreteSignedMeasure(
-        fld,
-        (head,),
-        (GeometricAtomFamily(scale, ratios.even_weight, q),),
+    head, spread = _head_and_spread(params, q)
+    scale = _reduced(q.field, spread)
+    return tuple(
+        DiscreteSignedMeasure(q.field, (head,), (GeometricAtomFamily(scale, ratio, q),))
+        for ratio in (ratios.even_weight, ratios.odd_weight)
     )
-    odd = DiscreteSignedMeasure(
-        fld,
-        (head,),
-        (GeometricAtomFamily(scale, ratios.odd_weight, q),),
-    )
-    return even, odd
 
 
 def moment_measure(params: TwoPeriodicParams) -> DiscreteSignedMeasure:
     """The discrete signed measure whose order-n moment equals s_n(a, b, w).
 
-    Built in its closed form: head atom (1-q)/a at 1, plus four geometric
+    Its closed form is the head atom (1-q)/a at 1, plus four geometric
     families realising weights (even^m + odd^m)/2 on locations q^m and
-    (even^m - odd^m)/2 on locations -q^m, all scaled by (1/q - q)/a.
+    (even^m - odd^m)/2 on locations -q^m, all scaled by half = (1/q - q)/(2a).
+    It is built in its canonical form (see :meth:`DiscreteSignedMeasure.canonical`)
+    directly: if even = odd, the two families on -q^m cancel and the two on
+    q^m merge into one of scale 2*half; otherwise each ratio's families come
+    in the order (-q^m, q^m), the smaller ratio's first, as one comparison
+    of even against odd decides.  A zero ratio's families drop out.
     """
     ratios = atom_ratios(params)
-    fld = ratios.location.field
-    a = params.a
-    q = ratios.location
-    head = Atom(fld.one, (fld.one - q) / a)
-    half = (q.inverse() - q) / (2 * a)
-    families = (
-        GeometricAtomFamily(half, ratios.even_weight, q, location_sign=1),
-        GeometricAtomFamily(half, ratios.odd_weight, q, location_sign=1),
-        GeometricAtomFamily(half, ratios.even_weight, q, location_sign=-1),
-        GeometricAtomFamily(-half, ratios.odd_weight, q, location_sign=-1),
+    q, even, odd = ratios.location, ratios.even_weight, ratios.odd_weight
+    fld = q.field
+    head, (p, r, d) = _head_and_spread(params, q)
+    half = _reduced(fld, (p, r, 2 * d))
+    if even == odd:
+        keyed = [(even, 1, half + half)]
+    else:
+        (pe, re, de), (po, ro, do) = even.triple, odd.triple
+        pairs = [(even, half, half), (odd, -half, half)]  # scales on -q^m, q^m
+        if surd_sign(pe * do - po * de, re * do - ro * de, fld.int_radicand) > 0:
+            pairs.reverse()
+        keyed = [
+            (ratio, sign, scale)
+            for ratio, minus, plus in pairs
+            for sign, scale in ((-1, minus), (1, plus))
+        ]
+    families = tuple(
+        GeometricAtomFamily(scale, ratio, q, sign) for ratio, sign, scale in keyed if ratio != 0
     )
-    return DiscreteSignedMeasure(fld, (head,), families).canonical()
+    return DiscreteSignedMeasure(fld, (head,), families)
 
 
 def binet_measure() -> DiscreteSignedMeasure:
@@ -438,23 +435,31 @@ class PositivityVerdict:
 def classify_positivity(params: TwoPeriodicParams) -> PositivityVerdict:
     """Decide whether the moment measure is positive, two independent ways.
 
-    Route one checks the atom-weight signs through the weight ratios; route
+    Route one checks the atom-weight signs through the weight ratios: the
+    signs of the integer triples of even, even + odd and even - odd.  Route
     two checks a >= b together with the polynomial forms of the two w
     thresholds (a*w^2 + a*b*w - b >= 0 and w^2 + w*(a+b)/2 - 1 >= 0, both
-    equivalent to their square-root forms for w >= 0).  Any disagreement on
-    their common domain is an InvariantError, not a verdict.
+    equivalent to their square-root forms for w >= 0), decided in integers
+    with the denominators of a, b and w cleared.  Any disagreement on their
+    common domain is an InvariantError, not a verdict.
     """
     ratios = atom_ratios(params)
     even, odd = ratios.even_weight, ratios.odd_weight
-    even_nonneg = even.sign() >= 0
-    sum_nonneg = (even + odd).sign() >= 0
-    diff_nonneg = (even - odd).sign() >= 0
+    u = even.field.int_radicand
+    (pe, re, de), (po, ro, do) = even.triple, odd.triple
+    xp, xr, yp, yr = pe * do, re * do, po * de, ro * de  # both over de * do
+    even_nonneg = surd_sign(pe, re, u) >= 0
+    sum_nonneg = surd_sign(xp + yp, xr + yr, u) >= 0
+    diff_nonneg = surd_sign(xp - yp, xr - yr, u) >= 0
     is_positive = even_nonneg and sum_nonneg and diff_nonneg
 
-    a, b, w = params.a, params.b, params.w
-    a_ge_b = a >= b
-    w_even = a * w * w + a * b * w - b >= 0
-    w_order = w * w + w * (a + b) / 2 - 1 >= 0
+    an, ad = params.a.numerator, params.a.denominator
+    bn, bd = params.b.numerator, params.b.denominator
+    wn, wd = params.w.numerator, params.w.denominator
+    a_ge_b = an * bd >= bn * ad
+    # times a'b'w'^2 and 2a'b'w'^2 (a = an/a', b = bn/b', w = wn/w')
+    w_even = an * wn * (bd * wn + bn * wd) >= bn * ad * wd * wd
+    w_order = wn * (2 * ad * bd * wn + (an * bd + bn * ad) * wd) >= 2 * ad * bd * wd * wd
 
     if even_nonneg != w_even:
         raise InvariantError(
@@ -464,7 +469,7 @@ def classify_positivity(params: TwoPeriodicParams) -> PositivityVerdict:
         raise InvariantError(
             f"ratio ordering and its w threshold disagree at {params}"
         )
-    if w > 0:
+    if wn > 0:
         if sum_nonneg != a_ge_b:
             raise InvariantError(
                 f"-even <= odd and a >= b disagree at {params} (w > 0)"

@@ -8,9 +8,10 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from hypothesis import example
 from hypothesis import strategies as st
 
-from cfmoments.cfrac import TwoPeriodicParams, kperiodic_convergents
+from cfmoments.cfrac import AtomRatios, TwoPeriodicParams, kperiodic_convergents
 from cfmoments.cli import main
 from cfmoments.exactnum import (
     DomainError,
@@ -21,7 +22,13 @@ from cfmoments.exactnum import (
     rational_sqrt,
 )
 from cfmoments.hankel import PsdResult, ScanReport, det_exact, hankel_matrix, psd_check
-from cfmoments.measures import Atom, DiscreteSignedMeasure, GeometricAtomFamily, _merged
+from cfmoments.measures import (
+    Atom,
+    DiscreteSignedMeasure,
+    GeometricAtomFamily,
+    PositivityVerdict,
+    _merged,
+)
 
 
 def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -428,6 +435,58 @@ def geometric_partial_sum(step: QuadElem, terms: int) -> Tuple[QuadElem, QuadEle
     return total, total - previous
 
 
+def atom_ratios_by_quadelem(params: TwoPeriodicParams) -> AtomRatios:
+    """The location and weight ratios in reduced ``QuadElem`` arithmetic, as
+    the library built them before its integer kernel: q from its rational
+    and surd parts, then each weight ratio as a quotient of QuadElems."""
+    fld = params.field()
+    a, w = params.a, params.w
+    ab = a * params.b
+    loc = fld.element((2 + ab) / 2, Fraction(-1, 2))
+    one = fld.one
+    even = (loc * (a * w - (one - loc))) / (loc * a * w + one - loc)
+    odd = (loc * a - (one - loc) * w) / (a + (one - loc) * w)
+    return AtomRatios(location=loc, even_weight=even, odd_weight=odd)
+
+
+def classify_by_quadelem(params: TwoPeriodicParams) -> PositivityVerdict:
+    """The positivity verdict from ``atom_ratios_by_quadelem``, by QuadElem
+    signs, and its thresholds in Fractions, as the library decided them
+    before its integer kernel (without the cross-checks of the routes)."""
+    ratios = atom_ratios_by_quadelem(params)
+    even, odd = ratios.even_weight, ratios.odd_weight
+    even_nonneg = even.sign() >= 0
+    a, b, w = params.a, params.b, params.w
+    return PositivityVerdict(
+        is_positive=even_nonneg and (even + odd).sign() >= 0 and (even - odd).sign() >= 0,
+        even_ratio_nonneg=even_nonneg,
+        a_ge_b=a >= b,
+        w_above_even_threshold=a * w * w + a * b * w - b >= 0,
+        w_above_order_threshold=w * w + w * (a + b) / 2 - 1 >= 0,
+        even_ratio=even,
+        odd_ratio=odd,
+    )
+
+
+def moment_measure_by_canonical(params: TwoPeriodicParams) -> DiscreteSignedMeasure:
+    """The moment measure as the library built it before building its
+    canonical form directly: all four families of the closed form, from
+    ``atom_ratios_by_quadelem`` in QuadElem arithmetic, then ``canonical()``."""
+    ratios = atom_ratios_by_quadelem(params)
+    fld = ratios.location.field
+    a = params.a
+    q = ratios.location
+    head = Atom(fld.one, (fld.one - q) / a)
+    half = (q.inverse() - q) / (2 * a)
+    families = (
+        GeometricAtomFamily(half, ratios.even_weight, q, location_sign=1),
+        GeometricAtomFamily(half, ratios.odd_weight, q, location_sign=1),
+        GeometricAtomFamily(half, ratios.even_weight, q, location_sign=-1),
+        GeometricAtomFamily(-half, ratios.odd_weight, q, location_sign=-1),
+    )
+    return DiscreteSignedMeasure(fld, (head,), families).canonical()
+
+
 def family_atom(fam: GeometricAtomFamily, k: int) -> Atom:
     """The k-th atom (k >= 0) of a geometric family, at exponent 1 + k."""
     if k < 0:
@@ -499,6 +558,28 @@ period_fractions = st.fractions(
 )
 seed_fractions = st.fractions(min_value=0, max_value=3, max_denominator=6)
 param_triples = st.builds(TwoPeriodicParams, period_fractions, period_fractions, seed_fractions)
+
+
+# (a, b, w) where the atom ratios are special
+RATIO_EDGES = [
+    TwoPeriodicParams(1, Fraction(1, 2), 1),  # degenerate field (ab(ab + 4) = 9/4), odd = 0
+    TwoPeriodicParams(1, 2, Fraction(1, 2)),  # even = odd
+    TwoPeriodicParams(Fraction(3, 2), Fraction(3, 2), Fraction(1, 2)),  # even = odd = 0, degenerate
+    TwoPeriodicParams(1, Fraction(4, 3), 2),  # degenerate field
+    TwoPeriodicParams(2, 7, 0),  # w = 0: even = -odd
+    TwoPeriodicParams(Fraction("1e-28"), Fraction(3, 2), Fraction(1, 3)),  # large triples
+]
+
+
+def with_examples(params_list):
+    """A decorator adding each of ``params_list`` as a hypothesis example."""
+
+    def decorate(test):
+        for params in params_list:
+            test = example(params)(test)
+        return test
+
+    return decorate
 
 
 # -- QuadElem oracle: the two-Fraction representation ------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfmoments import cfrac
 from cfmoments.cfrac import (
     ParameterError,
     TwoPeriodicParams,
@@ -16,10 +17,12 @@ from cfmoments.cfrac import (
     kperiodic_convergents,
     limit_value,
 )
-from cfmoments.exactnum import DomainError, InvariantError, QuadElem, QuadField
+from cfmoments.exactnum import DomainError, InvariantError, QuadField
 
 from helpers import (
+    RATIO_EDGES,
     assert_invariant_exit,
+    atom_ratios_by_quadelem,
     convergents_by_two_step,
     fib,
     fibonacci_by_three_term,
@@ -28,6 +31,7 @@ from helpers import (
     param_triples,
     period_fractions,
     seed_fractions,
+    with_examples,
 )
 
 # differential draws: positive periods and nonnegative seeds, denominators <= 7
@@ -296,6 +300,17 @@ def test_denominators_stay_positive(params):
         assert conv.denominator > 0
 
 
+@given(st.builds(TwoPeriodicParams, oracle_periods, oracle_periods, oracle_seeds))
+@settings(max_examples=80, deadline=None)
+@with_examples(RATIO_EDGES)
+def test_atom_ratios_match_the_quadelem_oracle(params):
+    got, want = atom_ratios(params), atom_ratios_by_quadelem(params)
+    assert got.location.field == want.location.field
+    for name in ("location", "even_weight", "odd_weight"):
+        # equal triples: each is reduced, so equal values have equal triples
+        assert getattr(got, name).triple == getattr(want, name).triple
+
+
 CLASSIFY_ONE = ["classify", "--a", "1", "--b", "1", "--w", "1"]
 
 
@@ -316,16 +331,16 @@ def test_atom_ratios_rechecks_the_location_ratio(monkeypatch, capsys, location, 
 
 @pytest.mark.parametrize("skewed, name", [(1, "even"), (2, "odd")])
 def test_atom_ratios_rechecks_the_weight_ratios(monkeypatch, capsys, skewed, name):
-    # the even and odd weight ratios are atom_ratios' only two quotients, in
-    # that order; the skewed one of each pair reads 2
-    divide = QuadElem.__truediv__
+    # the even and odd weight ratios are atom_ratios' only two conjugate
+    # divisions, in that order; the skewed one of each pair reads 2
+    divide = cfrac._quotient
     count = []
 
-    def skew(x, y):
+    def skew(*operands):
         count.append(None)
-        return x.field.element(2) if len(count) % 2 == skewed % 2 else divide(x, y)
+        return (2, 0, 1) if len(count) % 2 == skewed % 2 else divide(*operands)
 
-    monkeypatch.setattr(QuadElem, "__truediv__", skew)
+    monkeypatch.setattr(cfrac, "_quotient", skew)
     message = f"{name} weight ratio is not inside (-1, 1)"
     with pytest.raises(InvariantError, match=re.escape(message)):
         atom_ratios(TwoPeriodicParams(1, 1, 1))

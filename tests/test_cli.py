@@ -171,6 +171,38 @@ def test_verify_truncate_stdout_is_pinned_on_large_operands(capsys, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TRUNCATE_LARGE_OPERANDS[fmt]
 
 
+# sha256 of stdout as recorded before the integer atom-ratio kernel, for three
+# edge cases: a degenerate field (ab(ab + 4) = 9/4) whose odd ratio is 0;
+# even = odd, so two families merge and two cancel; both ratios 0, so no
+# family is left
+RATIO_EDGE_CASES = {
+    ("classify", "--a", "1", "--b", "1/2", "--w", "1"): {
+        "plain": "a70e8d373581397cf2a41b01545e994d9e3554de79f00effef139528ed8838c6",
+        "csv": "7a16f923429187b6eaaff1ed65cb78e3166a0aa1c2fbd8d0091d805cb138f1da",
+        "json": "32b3705ba85eb525278f8a328b1223ac576e4aa7d914febbdee4001120138a80",
+    },
+    ("verify", "--a", "1", "--b", "2", "--w", "1/2", "--truncate", "3"): {
+        "plain": "2c37a1d07cdeaf8c858ad2b8f6f6168457556a59f92a662d2b4b721ba22323e9",
+        "csv": "c0b7f0ff737a92f2ea4e0a6fa2f07d7fc87944400065e0b839820cf6449aa160",
+        "json": "49084ff2d7eb67b2fa042623ddcb3c7ab2dd6afe5ea037d7935d3a19700e501b",
+    },
+    ("verify", "--a", "3/2", "--b", "3/2", "--w", "1/2"): {
+        "plain": "d34a6f7084dfb88a27c5f7cdcbec35aaf5e4683079fa1772cf58414120d4c3dc",
+        "csv": "ece2c06c5696ae61bae6f004da87b3ae15b1947bc55c8c7ab3cab541c42e80b7",
+        "json": "ea394de850fc19a653e45b035a37a77b3d6d2df0d62ecc3ac0f4a3e90ea5bd24",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, fmt", [(argv, fmt) for argv in RATIO_EDGE_CASES for fmt in ("plain", "csv", "json")]
+)
+def test_ratio_edge_cases_stdout_is_pinned(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RATIO_EDGE_CASES[argv][fmt]
+
+
 def test_verify_zeroth_moment_is_seed(capsys):
     code, out, _ = run(
         capsys, "verify", "--a", "1", "--b", "1", "--w", "1",

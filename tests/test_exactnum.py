@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfmoments.exactnum import (
@@ -303,6 +303,17 @@ def test_triples_match_the_fraction_pair_oracle(pairs, exponent, digits, scalar)
             assert (a == other) == (oa == other)
         assert_same_outcome(a.inverse, oa.inverse)
         assert_same_outcome(lambda: a**exponent, lambda: oa**exponent)
+
+
+@given(st.sampled_from(ORACLE_RADICANDS), st.one_of(st.just(F(0)), oracle_parts), oracle_parts)
+@example(F(5), F(0), F(-1, 6))  # zero rational part, negative surd
+@example(F(64, 9), F(-3, 2), F(5, 7))  # degenerate field: folds to a rational
+@example(F(7, 4), F(-1, 3), F(-2, 5))
+def test_string_form_matches_the_fraction_pair_oracle(radicand, rat, surd):
+    x = QuadField(radicand).element(rat, surd)
+    oracle = PairField(radicand).element(rat, surd)
+    assert str(x) == str(oracle)
+    assert str(-x) == str(-oracle)
 
 
 @given(oracle_pairs(count=1), oracle_pairs(count=1))

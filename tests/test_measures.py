@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction as F
 
@@ -6,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmoments.cfrac import (
-    AtomRatios,
     TwoPeriodicParams,
     atom_ratios,
     convergents,
     generalized_fibonacci,
 )
-from cfmoments.exactnum import DomainError, InvariantError, QuadField
+from cfmoments.exactnum import DomainError, InvariantError, QuadElem, QuadField
 from cfmoments.measures import (
     Atom,
     DiscreteSignedMeasure,
@@ -24,15 +24,19 @@ from cfmoments.measures import (
 )
 
 from helpers import (
+    RATIO_EDGES,
     assert_invariant_exit,
+    classify_by_quadelem,
     collect_atoms,
     fib,
     geometric_partial_sum,
     moment_by_families,
+    moment_measure_by_canonical,
     moments_by_quadelem_sweep,
     param_triples,
     truncated_by_families,
     truncated_by_quadelem_sweep,
+    with_examples,
 )
 
 SAMPLE_PARAMS = [
@@ -132,6 +136,47 @@ def test_assembly_from_reflections_matches_closed_form(params):
         + (odd - odd.reflected()).scaled(half)
     ).canonical()
     assert assembled == moment_measure(params)
+
+
+@given(param_triples)
+@settings(max_examples=60, deadline=None)
+@with_examples(RATIO_EDGES)
+def test_moment_measure_is_the_canonical_closed_form(params):
+    got, want = moment_measure(params), moment_measure_by_canonical(params)
+    # == compares the field, the head atom and the families in order, each
+    # value by its reduced triple
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "params, signs",
+    [
+        (RATIO_EDGES[0], [-1, 1]),  # odd = 0: its families drop out
+        (RATIO_EDGES[1], [1]),  # even = odd: one merged family on q^m
+        (RATIO_EDGES[2], []),  # even = odd = 0: no family
+        (TwoPeriodicParams(2, 7, 0), [-1, 1, -1, 1]),
+    ],
+)
+def test_moment_measure_family_structure_at_the_edges(params, signs):
+    rho = moment_measure(params)
+    assert [f.location_sign for f in rho.families] == signs
+    assert rho.moments(12) == [c.value for c in convergents(params, 12)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 14, 40])
+def test_sweep_carries_one_power_per_order(monkeypatch, n):
+    # the head atom sits at 1, whose power is never multiplied; the four
+    # families share the location q
+    rho = moment_measure(TwoPeriodicParams(F(7, 4), F(5, 2), F(3, 4)))
+    multiply, calls = QuadElem.__mul__, []
+
+    def counted(x, y):
+        calls.append(None)
+        return multiply(x, y)
+
+    monkeypatch.setattr(QuadElem, "__mul__", counted)
+    rho.moments(n)
+    assert len(calls) == n
 
 
 def golden_ratio_measure():
@@ -473,22 +518,13 @@ def test_canonical_merges_and_drops():
     assert merged.families == ()
 
 
-class _EvenRatio:
-    """A stand-in even weight ratio carrying the three signs that
-    classify_positivity reads: its own, and those of its sum with and its
-    difference from the odd ratio."""
-
-    def __init__(self, own, plus, minus):
-        self.own, self.plus, self.minus = own, plus, minus
-
-    def sign(self):
-        return self.own
-
-    def __add__(self, odd):
-        return _EvenRatio(self.plus, None, None)
-
-    def __sub__(self, odd):
-        return _EvenRatio(self.minus, None, None)
+@given(param_triples)
+@settings(max_examples=80, deadline=None)
+@with_examples(RATIO_EDGES)
+def test_classify_matches_the_quadelem_oracle(params):
+    got, want = classify_positivity(params), classify_by_quadelem(params)
+    # == compares every field, the two ratios by their reduced triples
+    assert got == want
 
 
 class _EqualToTrueButFalsy:
@@ -526,10 +562,12 @@ class _EqualToTrueButFalsy:
     ],
 )
 def test_classify_rechecks_each_route(monkeypatch, capsys, abw, signs, message):
-    monkeypatch.setattr(
-        "cfmoments.measures.atom_ratios",
-        lambda params: AtomRatios(None, _EvenRatio(*signs), None),
-    )
+    # route one reads three integer signs per call, in this order: those of
+    # even, even + odd and even - odd
+    def next_sign(p, r, u, signs=itertools.cycle(signs)):
+        return next(signs)
+
+    monkeypatch.setattr("cfmoments.measures.surd_sign", next_sign)
     with pytest.raises(InvariantError, match=re.escape(message)):
         classify_positivity(TwoPeriodicParams(*abw))
     a, b, w = (str(x) for x in abw)
