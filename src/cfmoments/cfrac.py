@@ -51,13 +51,14 @@ class TwoPeriodicParams:
     w: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "w"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.a <= 0:
+        for name in ("a", "b", "w"):  # a Fraction is kept, not built again
+            if not isinstance(getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.a.numerator <= 0:
             raise ParameterError(f"period a must be positive (a > 0), got {self.a}")
-        if self.b <= 0:
+        if self.b.numerator <= 0:
             raise ParameterError(f"period b must be positive (b > 0), got {self.b}")
-        if self.w < 0:
+        if self.w.numerator < 0:
             raise ParameterError(f"seed w must be nonnegative (w >= 0), got {self.w}")
 
     @property

@@ -10,7 +10,8 @@ verdict); :func:`main` alone maps errors to these codes.  --args-file lines
 are split shell-style.  Exact values are emitted in full however many digits
 they have.
 
-The parser is built on the first :func:`main` call and kept for the process.
+The parser is built on the first :func:`main` call and kept for the process;
+a call is parsed by its subcommand's parser alone unless tokens are left over.
 Each subcommand runs this module's ``cmd_<name>`` (``hankel-scan`` runs
 ``cmd_hankel_scan``), looked up by name on every call.  :func:`main` is not
 thread-safe: it lifts the process-wide int-to-str digit limit while it runs.
@@ -19,11 +20,8 @@ thread-safe: it lifts the process-wide int-to-str digit limit while it runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
-import shlex
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -60,6 +58,7 @@ def _expand_args_file(argv: List[str]) -> List[str]:
             out.append(token)
             i += 1
             continue
+        import shlex
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 for line in handle:
@@ -256,16 +255,17 @@ def _csv_cell(value: Any) -> str:
 
 def _render(fmt: str, meta: Dict[str, Any], rows: List[Row], verdict: Dict[str, Any]) -> str:
     if fmt == "json":
+        import json
         return json.dumps(
             {"params": meta, "rows": rows, "verdict": verdict}, indent=2
         ) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         records = rows or [verdict]
-        writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
-        writer.writeheader()
-        for record in records:
-            writer.writerow({k: _csv_cell(v) for k, v in record.items()})
+        writer = csv.writer(buf)
+        writer.writerow(records[0].keys())
+        writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
         return buf.getvalue()
     lines = []
     for key, value in meta.items():
@@ -358,16 +358,30 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and kept for the process."""
-    return build_parser()
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name, kept for the process."""
+    parser = build_parser()
+    return parser, next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _parse(tokens: List[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(tokens)``.  The top-level parser would hand
+    every token after a subcommand's name to that subcommand's parser, so it
+    runs only for what it alone reports: no known subcommand, tokens left over."""
+    parser, subparsers = _parser()
+    if tokens and tokens[0] in subparsers:
+        args, extra = subparsers[tokens[0]].parse_known_args(tokens[1:])
+        if not extra:
+            args.command = tokens[0]
+            return args
+    return parser.parse_args(tokens)
 
 
 def _run(argv: Optional[List[str]]) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     expanded = _expand_args_file(raw)
     try:
-        args = _parser().parse_args(expanded)
+        args = _parse(expanded)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     # Looked up by name on every call, so a handler replaced on the module

@@ -42,7 +42,7 @@ class InvariantError(RuntimeError):
 
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """Exact square root of ``x`` when it is the square of a rational, else None."""
-    if x < 0:
+    if x.numerator < 0:
         return None
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn != x.numerator or rd * rd != x.denominator:
@@ -114,8 +114,8 @@ class QuadField:
     __slots__ = ("radicand", "root", "_int_radicand")
 
     def __init__(self, radicand: Scalar) -> None:
-        rad = Fraction(radicand)
-        if rad < 0:
+        rad = radicand if isinstance(radicand, Fraction) else Fraction(radicand)
+        if rad.numerator < 0:
             raise DomainError(f"radicand must be nonnegative, got {rad}")
         self.radicand = rad
         self.root = rational_sqrt(rad)
@@ -434,7 +434,7 @@ def decimal_string(x: Union[Scalar, QuadElem], digits: int) -> str:
         return x.decimal(digits)
     if digits < 1:
         raise DomainError("digits must be >= 1")
-    frac = Fraction(x)
+    frac = x if isinstance(x, Fraction) else Fraction(x)
     return _decimal_of_ratio(frac.numerator, frac.denominator, digits)
 
 

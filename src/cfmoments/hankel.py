@@ -307,7 +307,8 @@ def scan_kperiodic(
     order.  Up to and including the first non-PSD order, one content-reduced
     elimination of H_K decides each order, certified against that order's
     determinant; every later order is certified by that order's witness
-    padded with zeros, re-verified in integers against its matrix.
+    padded with zeros.  v'Mv sums over v's support alone, which every padded
+    witness shares, so one integer check of that value covers every later order.
     """
     if max_order < 0:
         raise DomainError("max_order must be >= 0")
@@ -320,11 +321,10 @@ def scan_kperiodic(
     dets = _bareiss(form)
     results = list(_verdicts(form, range(1, n + 1), lambda: dets))
     first_bad = None if results[-1].is_psd else len(results) - 1
+    if len(results) < n and _quadratic_form(form, results[first_bad].witness) >= 0:
+        raise InvariantError("padded witness failed to certify v'Mv < 0")
     for order in range(len(results), n):
         padded = results[first_bad].witness + (Fraction(0),) * (order - first_bad)
-        # H_order is a leading block of H_K, and padded is 0 past it
-        if _quadratic_form(form, padded) >= 0:
-            raise InvariantError("padded witness failed to certify v'Mv < 0")
         results.append(PsdResult(is_psd=False, witness=padded))
     return ScanReport(
         periods=tuple(Fraction(p) for p in periods),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import example
 from hypothesis import strategies as st
 
 from cfmoments.cfrac import AtomRatios, TwoPeriodicParams, kperiodic_convergents
-from cfmoments.cli import main
+from cfmoments.cli import build_parser, main
 from cfmoments.exactnum import (
     DomainError,
     FieldMismatchError,
@@ -511,6 +512,12 @@ def collect_atoms(
     for fam in measure.families:
         atoms += (family_atom(fam, k) for k in range(max_exponent))
     return [Atom(loc, weight) for loc, weight in _merged((a.location, a.weight) for a in atoms)]
+
+
+def parse_by_top_level(argv: List[str]) -> argparse.Namespace:
+    """The whole command line through a fresh top-level parser, which hands
+    the tokens after a subcommand's name to that subcommand's parser."""
+    return build_parser().parse_args(argv)
 
 
 def assert_invariant_exit(capsys, argv: List[str]) -> None:

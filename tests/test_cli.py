@@ -5,19 +5,21 @@ import hashlib
 import io
 import json
 import shlex
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfmoments import cli
 from cfmoments.cli import main
 from cfmoments.exactnum import InvariantError
 from cfmoments.measures import DiscreteSignedMeasure
+from helpers import parse_by_top_level
 
 
 def run(capsys, *argv):
@@ -490,6 +492,34 @@ def test_second_call_reuses_the_parser_and_runs_the_current_handler(capsys, monk
     assert (code, out) == (0, "command: patched\na: 7/2\n")
 
 
+def test_importing_the_cli_loads_no_output_or_args_file_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import cfmoments.cli, sys; print(sorted({'json', 'csv', 'shlex'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_a_classify_call_builds_only_its_own_fractions(monkeypatch, capsys):
+    # three parsed parameters and the discriminant; the values already
+    # parsed are kept as they are, not passed through Fraction() again
+    built = []
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    code = main(["classify", "--a", "7/2", "--b", "3", "--w", "1/2"])
+    monkeypatch.undo()
+    assert code == 0
+    assert capsys.readouterr().out.startswith("command: classify\na: 7/2\n")
+    assert len(built) == 4
+
+
 def test_decimal_preview_digits(capsys):
     code, out, _ = run(
         capsys, "convergents", "--a", "2", "--b", "7", "--w", "0",
@@ -577,3 +607,60 @@ def test_every_input_ends_in_a_documented_exit_code(invocation):
         assert "error: " in err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+def _parse_outcome(parse, argv):
+    """vars of the namespace, or the SystemExit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# Every option string, a unique prefix (--dig), one that is a prefix in some
+# subcommands and unknown in others (--n), an inline value, help, the "--"
+# separator, negative-number values and stray words.
+PARSE_OPTIONS = sorted({flag for flags in SUBCOMMAND_FLAGS.values() for flag in flags}) + [
+    "--format", "--output", "--digits", "--dig", "--n",
+]
+PARSE_VALUES = ["-1", "-1/2", "1", "7/2", "1,2", "csv", "x", "extra"]
+# mostly values the option accepts, so that many draws parse
+OPTION_VALUES = {
+    **{flag: ["-1", "2", "x"] for flag in ("--n-max", "--truncate", "--max-order", "--digits")},
+    "--format": ["csv", "json", "x"],
+}
+PARSE_TOKENS = sorted(SUBCOMMAND_FLAGS) + PARSE_OPTIONS + PARSE_VALUES + [
+    "--a=7/2", "-h", "--help", "--",
+]
+
+
+@st.composite
+def parse_argvs(draw):
+    """A first token that is a subcommand's name three times in four, its
+    required options with values as often, then options with values and
+    single tokens."""
+    first = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        first = draw(st.sampled_from(PARSE_TOKENS + ["bogus"]))
+    argv = [first]
+    if draw(st.integers(min_value=0, max_value=3)) > 0:
+        for flag in REQUIRED_FLAGS.get(first, []):
+            argv += [flag, draw(st.sampled_from(PARSE_VALUES))]
+    pair = st.sampled_from(PARSE_OPTIONS).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(OPTION_VALUES.get(flag, PARSE_VALUES)))
+    )
+    for item in draw(st.lists(st.one_of(pair, st.tuples(st.sampled_from(PARSE_TOKENS))), max_size=4)):
+        argv += item
+    return argv
+
+
+@given(parse_argvs())
+@example([])
+@example(["bogus"])
+@example(["classify", "--a", "1", "--b", "2", "extra"])
+@example(["fibonacci", "--a", "1", "--n-max", "2", "--", "x"])
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_top_level_parser(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(parse_by_top_level, argv)

@@ -349,6 +349,23 @@ def test_scan_padded_witness_is_reverified(monkeypatch):
         scan_kperiodic([1, 1, 2], 1, 4)
 
 
+def test_later_orders_share_one_quadratic_form(monkeypatch):
+    # every padded witness has the first witness's support, so one v'Mv, on
+    # top of the elimination's check of the first witness, covers them all
+    expected = scan_kperiodic([3, 2], 0, 30)
+    calls = []
+
+    def counting(form, v):
+        calls.append(v)
+        return _quadratic_form(form, v)
+
+    monkeypatch.setattr("cfmoments.hankel._quadratic_form", counting)
+    report = scan_kperiodic([3, 2], 0, 30)
+    _assert_same_report(report, expected)
+    assert report.first_not_psd < 29
+    assert calls == [report.results[report.first_not_psd].witness] * 2
+
+
 def _wrong_pivots(rows, sizes):
     for size in sizes:
         yield None, [F(1)] * size
