@@ -21,7 +21,6 @@ an integer matrix over a running common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
@@ -32,6 +31,7 @@ from .exactnum import (
     QuadElem,
     QuadField,
     Scalar,
+    _FrozenRecord,
     _quotient,
     _reduced,
     surd_sign,
@@ -42,18 +42,17 @@ class ParameterError(DomainError):
     """A continued-fraction parameter violates its positivity hypothesis."""
 
 
-@dataclass(frozen=True)
-class TwoPeriodicParams:
+class TwoPeriodicParams(_FrozenRecord):
     """Validated parameter triple (a, b, w) with a, b > 0 and w >= 0."""
 
+    __slots__ = ("a", "b", "w")
     a: Fraction
     b: Fraction
-    w: Fraction = Fraction(0)
+    w: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "w"):  # a Fraction is kept, not built again
-            if not isinstance(getattr(self, name), Fraction):
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a: Scalar, b: Scalar, w: Scalar = Fraction(0)) -> None:
+        # a Fraction is kept, not built again
+        self._set(*[x if isinstance(x, Fraction) else Fraction(x) for x in (a, b, w)])
         if self.a.numerator <= 0:
             raise ParameterError(f"period a must be positive (a > 0), got {self.a}")
         if self.b.numerator <= 0:
@@ -86,8 +85,7 @@ class Convergent(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class AtomRatios:
+class AtomRatios(NamedTuple):
     """The three ratios driving the closed forms and the measure atoms.
 
     ``location`` is the root in (0, 1) of x^2 - (2+ab)x + 1; atom positions

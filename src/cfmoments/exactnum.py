@@ -40,6 +40,40 @@ class InvariantError(RuntimeError):
     """An internal identity that must hold exactly failed to hold."""
 
 
+class _FrozenRecord:
+    """Fields in ``__slots__``, set once by the constructor through ``_set``;
+    ``==``, hash, repr and pickle go by field; setting or deleting raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values: Any) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """Exact square root of ``x`` when it is the square of a rational, else None."""
     if x.numerator < 0:

@@ -30,10 +30,9 @@ against each order's matrix.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cfrac import kperiodic_convergents
 from .exactnum import DomainError, InvariantError, Scalar
@@ -116,8 +115,7 @@ def _bareiss(form: Form) -> List[Fraction]:
     return minors
 
 
-@dataclass(frozen=True)
-class PsdResult:
+class PsdResult(NamedTuple):
     """Exact PSD verdict with a certificate when the answer is negative.
 
     ``witness`` is a rational vector v with v' M v < 0, found by congruence
@@ -280,8 +278,7 @@ def _basis_vectors(
     ]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Per-order determinants and PSD verdicts of a k-periodic scan."""
 
     periods: Tuple[Fraction, ...]

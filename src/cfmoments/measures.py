@@ -23,9 +23,8 @@ each value it returns once; its signs and inverses are checked exactly as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar, Union
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple, TypeVar, Union
 
 from .cfrac import TwoPeriodicParams, atom_ratios
 from .exactnum import (
@@ -34,6 +33,7 @@ from .exactnum import (
     QuadElem,
     QuadField,
     Scalar,
+    _FrozenRecord,
     _plus,
     _quotient,
     _reduced,
@@ -46,16 +46,14 @@ from .exactnum import (
 _Key = TypeVar("_Key", bound=Hashable)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """A single weighted Dirac atom."""
 
     location: QuadElem
     weight: QuadElem
 
 
-@dataclass(frozen=True)
-class GeometricAtomFamily:
+class GeometricAtomFamily(NamedTuple):
     """Infinite geometric atom tail; see the module docstring for semantics."""
 
     scale: QuadElem
@@ -64,20 +62,26 @@ class GeometricAtomFamily:
     location_sign: int = 1
 
 
-@dataclass(frozen=True)
-class DiscreteSignedMeasure:
+class DiscreteSignedMeasure(_FrozenRecord):
     """Head atoms plus geometric families over one quadratic field.
 
     ``bounded_support`` asserts that every atom lies in [-1, 1]; the Binet
     measure sets it to False because its atoms genuinely live outside.
     """
 
-    field: QuadField
-    head_atoms: Tuple[Atom, ...] = ()
-    families: Tuple[GeometricAtomFamily, ...] = ()
-    bounded_support: bool = True
+    __slots__ = ("field", "head_atoms", "families", "bounded_support")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        field: QuadField,
+        head_atoms: Tuple[Atom, ...] = (),
+        families: Tuple[GeometricAtomFamily, ...] = (),
+        bounded_support: bool = True,
+    ) -> None:
+        self._set(field, head_atoms, families, bounded_support)
+        self._validate()
+
+    def _validate(self) -> None:
         """Check each distinct field and each distinct (name, ratio) once, in
         first-occurrence order, so the first failure raises as it would with
         every occurrence checked.  |x| <= 1 and |x| < 1 are decided on the
@@ -224,14 +228,12 @@ class DiscreteSignedMeasure:
     def reflected(self) -> DiscreteSignedMeasure:
         """The image under t -> -t: locations negated, weights unchanged."""
         heads = tuple(Atom(-a.location, a.weight) for a in self.head_atoms)
-        fams = tuple(
-            replace(f, location_sign=-f.location_sign) for f in self.families
-        )
+        fams = tuple(f._replace(location_sign=-f.location_sign) for f in self.families)
         return DiscreteSignedMeasure(self.field, heads, fams, self.bounded_support)
 
     def scaled(self, factor: Union[Scalar, QuadElem]) -> DiscreteSignedMeasure:
         heads = tuple(Atom(a.location, a.weight * factor) for a in self.head_atoms)
-        fams = tuple(replace(f, scale=f.scale * factor) for f in self.families)
+        fams = tuple(f._replace(scale=f.scale * factor) for f in self.families)
         return DiscreteSignedMeasure(self.field, heads, fams, self.bounded_support)
 
     def with_head(
@@ -412,8 +414,7 @@ def binet_measure() -> DiscreteSignedMeasure:
 # -- positivity ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(NamedTuple):
     """Outcome of the exact positivity test, with every intermediate flag.
 
     ``is_positive`` is decided by the sign route (even_ratio >= 0 and

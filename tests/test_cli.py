@@ -405,6 +405,11 @@ def test_args_file(tmp_path, capsys):
     assert rows[-1]["value"] == "5/8"
 
 
+def test_args_file_as_the_last_token_exits_2(capsys):
+    code, out, err = run(capsys, "classify", "--a", "1", "--b", "1", "--args-file")
+    assert (code, out, err) == (2, "", "error: --args-file needs a path\n")
+
+
 def test_missing_args_file(capsys):
     code, _, err = run(capsys, "convergents", "--args-file", "/nonexistent/flags")
     assert code == 2
@@ -493,8 +498,10 @@ def test_second_call_reuses_the_parser_and_runs_the_current_handler(capsys, monk
 
 
 def test_importing_the_cli_loads_no_output_or_args_file_module():
+    # nor dataclasses, with the inspect, ast, dis and tokenize it pulls in
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import cfmoments.cli, sys; print(sorted({'json', 'csv', 'shlex'} & set(sys.modules)))"
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv", "shlex"}
+    code = f"import cfmoments.cli, sys; print(sorted({unwanted!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,

@@ -36,6 +36,17 @@ def test_field_detects_perfect_squares():
     assert QuadField(0).is_degenerate
 
 
+def test_fields_print_compare_and_hash_by_radicand():
+    fld = QuadField(F(20, 4))
+    assert repr(fld) == "QuadField(5)" and repr(QuadField(F(64, 9))) == "QuadField(64/9)"
+    assert fld == QuadField(5) and hash(fld) == hash(QuadField(5))
+    assert fld != QuadField(7)
+    assert len({fld, QuadField(5), QuadField(7)}) == 2
+    # anything but a field is left to the other operand, so it compares unequal
+    assert fld.__eq__(5) is NotImplemented
+    assert fld != 5 and fld != F(5) and fld != "QuadField(5)"
+
+
 def test_negative_radicand_rejected():
     with pytest.raises(DomainError):
         QuadField(-1)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -428,8 +427,7 @@ def test_definite_scan_runs_one_elimination(monkeypatch):
 
 
 def _assert_same_report(report, oracle):
-    for field in dataclasses.fields(report):
-        name = field.name
+    for name in type(report)._fields:
         assert getattr(report, name) == getattr(oracle, name), name
 
 
