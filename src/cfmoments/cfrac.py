@@ -16,7 +16,12 @@ M_j = [[0, 1], [1, c_j]] and P_n = M_0 ... M_{n-1},
     N_n = P00*w + P01,  D_n = P10*w + P11,  s_n = N_n / D_n,
 
 so all n_max + 1 truncations come from one linear pass.  P_n is carried as
-an integer matrix over a running common denominator.
+an integer matrix over a running common denominator.  Past the first period
+(k terms) the truncations jump: P_{n+k} = P_k*P_n, so with Pi the integer
+multiple of P_k, s_{n+k} = (Pi00*x + Pi01*y)/(Pi10*x + Pi11*y) for s_n = x/y.
+Pi's adjugate maps that pair back to det Pi * (x, y), so for coprime x, y its
+gcd divides |det Pi|, the squared product of the periods' denominators: a gcd
+with that fixed integer, not with a growing one, reduces every value.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .exactnum import (
     QuadElem,
     QuadField,
     Scalar,
+    _coprime_fraction,
     _FrozenRecord,
     _quotient,
     _reduced,
@@ -103,16 +109,24 @@ def convergents(params: TwoPeriodicParams, n_max: int) -> List[Convergent]:
     """Exact convergents (N_n, D_n, s_n) for n = 0..n_max.
 
     N and D come from the period-map recurrence of the module docstring with
-    the period list [a, b], so N0 = w, N1 = 1, D0 = 1, D1 = a + w.
+    the period list [a, b] (N0 = w, N1 = 1, D0 = 1, D1 = a + w), s from its jump.
     Denominators are provably positive; a nonpositive one would mean
     corrupted state and raises InvariantError.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    cycle = [params.a, params.b]
+    rows = _period_map(cycle, params.w, n_max)
     return [
-        Convergent(Fraction(num, scale), Fraction(den, scale), Fraction(num, den))
-        for num, den, scale in _period_map([params.a, params.b], params.w, n_max)
+        Convergent(_lowest(num, scale), _lowest(den, scale), value)
+        for (num, den, scale), value in zip(rows, _truncations(cycle, params.w, n_max))
     ]
+
+
+def _lowest(num: int, den: int) -> Fraction:
+    """num/den for den > 0, reduced by one gcd."""
+    g = gcd(num, den)
+    return _coprime_fraction(num // g, den // g)
 
 
 def _period_map(
@@ -140,6 +154,26 @@ def _period_map(
         u, v = steps[n % k]
         q00, q01, q10, q11 = q01 * v, q00 * v + q01 * u, q11 * v, q10 * v + q11 * u
         scale *= v
+
+
+def _truncations(cycle: Sequence[Fraction], seed: Fraction, n_max: int) -> List[Fraction]:
+    """s_0..s_n_max in lowest terms: one period by ``_period_map``, then jumps."""
+    k = len(cycle)
+    values = [Fraction(num, den) for num, den, _ in _period_map(cycle, seed, min(n_max, k - 1))]
+    p00, p01, p10, p11 = 1, 0, 0, 1
+    for c in cycle:
+        u, v = c.numerator, c.denominator
+        p00, p01, p10, p11 = p01 * v, p00 * v + p01 * u, p11 * v, p10 * v + p11 * u
+    det = abs(p00 * p11 - p01 * p10)
+    for n in range(k, n_max + 1):
+        prev = values[n - k]
+        x, y = prev.numerator, prev.denominator
+        num, den = p00 * x + p01 * y, p10 * x + p11 * y
+        if den <= 0:
+            raise InvariantError(f"denominator of s_{n} = {num}/{den} is not positive")
+        g = gcd(det, num, den)
+        values.append(_coprime_fraction(num // g, den // g))
+    return values
 
 
 def _contraction(params: TwoPeriodicParams, fld: QuadField) -> QuadElem:
@@ -263,9 +297,10 @@ def kperiodic_convergents(
     """Truncations of the continued fraction whose denominators cycle through
     ``periods``, seeded with +w at the innermost level.
 
-    Evaluated bottom-up by the period-map recurrence of the module docstring,
-    in one pass linear in n_max; for a two-element period list this is
-    exactly :func:`convergents`.
+    Evaluated bottom-up by the period-map recurrence of the module docstring
+    for the first period and by its one-period jump after that, in one pass
+    linear in n_max; for a two-element period list this is exactly the
+    ``value`` of :func:`convergents`.
     """
     cycle = [Fraction(p) for p in periods]
     if not cycle:
@@ -277,4 +312,4 @@ def kperiodic_convergents(
         raise ParameterError(f"seed w must be nonnegative (w >= 0), got {seed}")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    return [Fraction(num, den) for num, den, _ in _period_map(cycle, seed, n_max)]
+    return _truncations(cycle, seed, n_max)

@@ -84,6 +84,16 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den for coprime num and den > 0, built without the gcd
+    ``Fraction(num, den)`` would take: it sets the two slots of every Fraction,
+    ``_numerator`` and ``_denominator``, as Python 3.12's private
+    ``Fraction._from_coprime_ints`` does.  The caller establishes coprimality."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
 def surd_sign(p: int, r: int, u: int) -> int:
     """Exact sign of p + r*sqrt(u) for integers p, r and u >= 0, decided by
     comparing p^2 against r^2*u; u must not be a perfect square unless r = 0."""

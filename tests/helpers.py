@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from hypothesis import example
 from hypothesis import strategies as st
 
-from cfmoments.cfrac import AtomRatios, TwoPeriodicParams, kperiodic_convergents
+from cfmoments.cfrac import AtomRatios, TwoPeriodicParams, _period_map, kperiodic_convergents
 from cfmoments.cli import build_parser, main
 from cfmoments.exactnum import (
     DomainError,
@@ -307,6 +307,17 @@ def kperiodic_bottom_up(
         c = Fraction(periods[n % len(periods)])
         p00, p01, p10, p11 = p01, p00 + c * p01, p11, p10 + c * p11
     return values
+
+
+def rows_by_period_map(
+    periods: Sequence[Fraction], w: Fraction, n_max: int
+) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """(N_n, D_n, s_n) for n = 0..n_max, one full Fraction gcd each, from every row
+    (A_n, B_n, L_n) of ``_period_map``: the library's path before the one-period jump."""
+    return [
+        (Fraction(num, scale), Fraction(den, scale), Fraction(num, den))
+        for num, den, scale in _period_map(periods, w, n_max)
+    ]
 
 
 def convergents_by_two_step(

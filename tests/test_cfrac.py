@@ -1,5 +1,7 @@
+import pickle
 import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from cfmoments.cfrac import (
     ParameterError,
     TwoPeriodicParams,
     _period_map,
+    _truncations,
     atom_ratios,
     convergents,
     denominator_closed_form,
@@ -18,6 +21,7 @@ from cfmoments.cfrac import (
     limit_value,
 )
 from cfmoments.exactnum import DomainError, InvariantError, QuadField
+from cfmoments.hankel import hankel_matrix, scan_kperiodic
 
 from helpers import (
     RATIO_EDGES,
@@ -30,6 +34,7 @@ from helpers import (
     kperiodic_by_fold,
     param_triples,
     period_fractions,
+    rows_by_period_map,
     seed_fractions,
     with_examples,
 )
@@ -202,14 +207,75 @@ def test_convergents_match_two_step_recurrence(a, b, w, n_max):
 
 
 def test_kperiodic_long_run_matches_bottom_up_fractions():
-    periods = [F(1), F(1), F(2)]
-    assert kperiodic_convergents(periods, 1, 800) == kperiodic_bottom_up(periods, F(1), 800)
+    # integer periods make the period matrix's det -1; rational ones make the
+    # jump reduce by real gcds
+    for periods, w in [([F(1), F(1), F(2)], F(1)), ([F(3, 4), F(5, 2), F(7, 4)], F(1, 4))]:
+        assert kperiodic_convergents(periods, w, 800) == kperiodic_bottom_up(periods, w, 800)
 
 
 def test_nonpositive_denominator_raises_invariant_error():
     # unreachable through the validated entry points: a negative seed makes D_1 = -1
     with pytest.raises(InvariantError, match="D_1 = -1 is not positive"):
         list(_period_map([F(1)], F(-2), 1))
+
+
+def test_jump_nonpositive_denominator_raises_invariant_error():
+    # the same seed on [1]: s_0 = -2/1 jumps to s_1 = (0*-2 + 1*1)/(1*-2 + 1*1) = 1/-1
+    with pytest.raises(InvariantError, match="denominator of s_1 = 1/-1 is not positive"):
+        _truncations([F(1)], F(-2), 1)
+
+
+# denominators drawn from one set share the primes 2, 3 and 1000003, or share
+# none (5 and 7 against the rest); 1000003 makes the period's det large
+JUMP_DENOMINATORS = [1, 2, 3, 4, 5, 6, 7, 9, 1000003, 2 * 1000003]
+jump_fractions = st.builds(F, st.integers(1, 60), st.sampled_from(JUMP_DENOMINATORS))
+
+
+@given(
+    st.lists(jump_fractions, min_size=1, max_size=5),
+    st.one_of(st.just(F(0)), jump_fractions),
+    st.integers(min_value=-5, max_value=40),
+)
+@example([F(3, 4), F(5, 2), F(7, 4)], F(1, 4), 0)  # n_max at k
+@example([F(3, 4), F(5, 2), F(7, 4)], F(0), -1)  # below k
+@example([F(1, 2), F(1, 3), F(1, 5)], F(1, 7), 30)  # coprime denominators
+@example([F(7, 6), F(5, 9), F(1, 4)], F(0), 30)  # denominators sharing 2 and 3
+@example([F(5, 1000003), F(1000004, 1000003)], F(3, 2000006), 30)
+@example([F(1)], F(0), 5)
+@settings(max_examples=150, deadline=None)
+def test_truncations_match_the_period_map_oracle(periods, w, offset):
+    n_max = max(0, len(periods) + offset)
+    want = rows_by_period_map(periods, w, n_max)
+    got = kperiodic_convergents(periods, w, n_max)
+    assert len(got) == len(want) == n_max + 1
+    pairs = [(x, y) for x, (_, _, y) in zip(got, want)]
+    if len(periods) == 2:
+        # every field of every convergent row: N_n, D_n and s_n
+        rows = convergents(TwoPeriodicParams(*periods, w), n_max)
+        assert len(rows) == len(want)
+        pairs += [pair for row, expected in zip(rows, want) for pair in zip(row, expected)]
+    for x, y in pairs:
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+        assert gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
+        assert hash(x) == hash(y) and str(x) == str(y)
+        assert pickle.loads(pickle.dumps(x)) == y
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: convergents(TwoPeriodicParams(1, 1), -1), "n_max must be >= 0"),
+        (lambda: kperiodic_convergents([1], 0, -1), "n_max must be >= 0"),
+        (lambda: generalized_fibonacci(1, -1), "n_max must be >= 0"),
+        (lambda: hankel_matrix([1, 2, 3], -1), "order must be >= 0"),
+        (lambda: scan_kperiodic([1], 1, -1), "max_order must be >= 0"),
+    ],
+    ids=["convergents", "kperiodic", "fibonacci", "hankel_matrix", "scan_kperiodic"],
+)
+def test_library_size_guards_raise_domain_error(call, message):
+    # the CLI rejects these sizes before it calls the library
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_kperiodic_period_one_gives_fibonacci_ratios():

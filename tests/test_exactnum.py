@@ -1,5 +1,8 @@
+import copy
 import operator
+import pickle
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from cfmoments.exactnum import (
     QuadField,
     decimal_string,
     parse_rational,
+    _coprime_fraction,
     rational_sqrt,
 )
 
@@ -26,6 +30,30 @@ parts = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 def field_elements(draw, count=1):
     fld = QuadField(draw(st.sampled_from(RADICANDS)))
     return tuple(fld.element(draw(parts), draw(parts)) for _ in range(count))
+
+
+def test_fraction_keeps_the_two_slots_the_coprime_constructor_sets():
+    assert F.__slots__ == ("_numerator", "_denominator")
+
+
+@given(st.integers(), st.integers(min_value=1), st.fractions(max_denominator=50))
+@example(0, 7, F(1))
+@example(-(10**40), 3**50, F(-2, 3))
+def test_coprime_fraction_is_the_reduced_fraction(num, den, other):
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    got, want = _coprime_fraction(num, den), F(num, den)
+    assert type(got) is F and (got.numerator, got.denominator) == (num, den)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    for back in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+        assert type(back) is F and repr(back) == repr(want)
+    for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.eq):
+        assert op(got, other) == op(want, other) and op(other, got) == op(other, want)
+    if other:
+        assert got / other == want / other
+    for op in (operator.neg, abs, int, round, lambda x: x**3):
+        assert op(got) == op(want)
 
 
 def test_field_detects_perfect_squares():
