@@ -20,14 +20,20 @@ an integer matrix over a running common denominator.  Past the first period
 (k terms) the truncations jump: P_{n+k} = P_k*P_n, so with Pi the integer
 multiple of P_k, s_{n+k} = (Pi00*x + Pi01*y)/(Pi10*x + Pi11*y) for s_n = x/y.
 Pi's adjugate maps that pair back to det Pi * (x, y), so for coprime x, y its
-gcd divides |det Pi|, the squared product of the periods' denominators: a gcd
+gcd g divides |det Pi|, the squared product of the periods' denominators: a gcd
 with that fixed integer, not with a growing one, reduces every value.
+
+N_n and D_n jump with it: with N_n = A_n/L_n, D_n = B_n/L_n, t_n = gcd(A_n, B_n)
+and V the product of the periods' denominators, t_{n+k} = g*t_n and L_{n+k} = V*L_n,
+so rho_n = t_n/L_n jumps as rho_{n+k} = rho_n*g/V, whose content divides g*V.  With
+rho_n = alpha/beta in lowest terms, N_n = alpha*x_n/beta and D_n = alpha*y_n/beta;
+alpha is coprime to beta, so one gcd of x_n (or y_n) with beta <= L_n reduces each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import (
@@ -108,25 +114,24 @@ class AtomRatios(NamedTuple):
 def convergents(params: TwoPeriodicParams, n_max: int) -> List[Convergent]:
     """Exact convergents (N_n, D_n, s_n) for n = 0..n_max.
 
-    N and D come from the period-map recurrence of the module docstring with
-    the period list [a, b] (N0 = w, N1 = 1, D0 = 1, D1 = a + w), s from its jump.
-    Denominators are provably positive; a nonpositive one would mean
+    All three come from the period-map recurrence of the module docstring with
+    the period list [a, b] (N0 = w, N1 = 1, D0 = 1, D1 = a + w) and its jump.
+    Denominators are provably positive (past the first period D_n = rho_n*y_n
+    with rho_n > 0 and the jump's y_n > 0); a nonpositive one would mean
     corrupted state and raises InvariantError.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    cycle = [params.a, params.b]
-    rows = _period_map(cycle, params.w, n_max)
     return [
-        Convergent(_lowest(num, scale), _lowest(den, scale), value)
-        for (num, den, scale), value in zip(rows, _truncations(cycle, params.w, n_max))
+        Convergent(_scaled(x, alpha, beta), _scaled(y, alpha, beta), _coprime_fraction(x, y))
+        for x, y, alpha, beta in _scaled_rows([params.a, params.b], params.w, n_max)
     ]
 
 
-def _lowest(num: int, den: int) -> Fraction:
-    """num/den for den > 0, reduced by one gcd."""
-    g = gcd(num, den)
-    return _coprime_fraction(num // g, den // g)
+def _scaled(x: int, alpha: int, beta: int) -> Fraction:
+    """alpha*x/beta for coprime alpha and beta > 0, in lowest terms by one gcd with beta."""
+    g = gcd(x, beta)
+    return _coprime_fraction(alpha * (x // g), beta // g)
 
 
 def _period_map(
@@ -144,36 +149,55 @@ def _period_map(
     q00, q01, q10, q11 = 1, 0, 0, 1
     scale = q
     for n in range(n_max + 1):
-        num = q00 * p + q01 * q
-        den = q10 * p + q11 * q
+        num, den = q00 * p + q01 * q, q10 * p + q11 * q
         if den <= 0:
-            raise InvariantError(
-                f"denominator D_{n} = {Fraction(den, scale)} is not positive"
-            )
+            raise InvariantError(f"denominator D_{n} = {Fraction(den, scale)} is not positive")
         yield num, den, scale
         u, v = steps[n % k]
         q00, q01, q10, q11 = q01 * v, q00 * v + q01 * u, q11 * v, q10 * v + q11 * u
         scale *= v
 
 
-def _truncations(cycle: Sequence[Fraction], seed: Fraction, n_max: int) -> List[Fraction]:
-    """s_0..s_n_max in lowest terms: one period by ``_period_map``, then jumps."""
+def _truncations(cycle: Sequence[Fraction], seed: Fraction, n_max: int) -> List[Tuple[int, ...]]:
+    """(x_n, y_n, g_n) for n = 0..n_max: s_n = x_n/y_n in lowest terms, y_n > 0, and
+    the gcd g_n divided out: t_n = gcd(A_n, B_n) of ``_period_map`` over the first
+    period, the jump's gcd past it, so t_n = g_n*t_{n-k}."""
     k = len(cycle)
-    values = [Fraction(num, den) for num, den, _ in _period_map(cycle, seed, min(n_max, k - 1))]
+    rows = []
+    for num, den, _ in _period_map(cycle, seed, min(n_max, k - 1)):
+        g = gcd(num, den)
+        rows.append((num // g, den // g, g))
     p00, p01, p10, p11 = 1, 0, 0, 1
     for c in cycle:
         u, v = c.numerator, c.denominator
         p00, p01, p10, p11 = p01 * v, p00 * v + p01 * u, p11 * v, p10 * v + p11 * u
     det = abs(p00 * p11 - p01 * p10)
     for n in range(k, n_max + 1):
-        prev = values[n - k]
-        x, y = prev.numerator, prev.denominator
+        x, y, _ = rows[n - k]
         num, den = p00 * x + p01 * y, p10 * x + p11 * y
         if den <= 0:
             raise InvariantError(f"denominator of s_{n} = {num}/{den} is not positive")
         g = gcd(det, num, den)
-        values.append(_coprime_fraction(num // g, den // g))
-    return values
+        rows.append((num // g, den // g, g) if g > 1 else (num, den, 1))
+    return rows
+
+
+def _scaled_rows(cycle: Sequence[Fraction], seed: Fraction, n_max: int) -> List[Tuple[int, ...]]:
+    """(x_n, y_n, alpha_n, beta_n) for n = 0..n_max: rho_n = alpha_n/beta_n in lowest
+    terms is t_n/L_n over the first period and rho_{n-k}*g_n/V past it."""
+    k = len(cycle)
+    scale = seed.denominator  # L_n over the first period
+    period = prod(c.denominator for c in cycle)  # V
+    rows = []
+    for n, (x, y, g) in enumerate(_truncations(cycle, seed, n_max)):
+        if n < k:
+            alpha, beta, h = g, scale, gcd(g, scale)
+            scale *= cycle[n].denominator
+        else:
+            alpha, beta = rows[n - k][2] * g, rows[n - k][3] * period
+            h = gcd(g * period, alpha, beta)
+        rows.append((x, y, alpha // h, beta // h))
+    return rows
 
 
 def _contraction(params: TwoPeriodicParams, fld: QuadField) -> QuadElem:
@@ -280,15 +304,15 @@ def generalized_fibonacci(coeff: Scalar, n_max: int) -> List[Fraction]:
 
     coeff = 1 gives the Fibonacci numbers, coeff = 2 the Pell numbers.
     F_{n+1} is the denominator D_n of the one-term period list [coeff] at
-    w = 0, so these come from the period-map recurrence too.
+    w = 0, so these come from the period-map recurrence and its jump too.
     """
     c = Fraction(coeff)
     if c <= 0:
         raise ParameterError(f"recurrence coefficient must be positive, got {c}")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    tail = _period_map([c], Fraction(0), n_max - 1)
-    return [Fraction(0)] + [Fraction(den, scale) for _, den, scale in tail]
+    tail = _scaled_rows([c], Fraction(0), n_max - 1)
+    return [Fraction(0)] + [_scaled(y, alpha, beta) for _, y, alpha, beta in tail]
 
 
 def kperiodic_convergents(
@@ -312,4 +336,4 @@ def kperiodic_convergents(
         raise ParameterError(f"seed w must be nonnegative (w >= 0), got {seed}")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    return _truncations(cycle, seed, n_max)
+    return [_coprime_fraction(x, y) for x, y, _ in _truncations(cycle, seed, n_max)]

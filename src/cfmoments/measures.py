@@ -81,6 +81,20 @@ class DiscreteSignedMeasure(_FrozenRecord):
         self._set(field, head_atoms, families, bounded_support)
         self._validate()
 
+    @classmethod
+    def _prechecked(
+        cls,
+        field: QuadField,
+        head_atoms: Tuple[Atom, ...],
+        families: Tuple[GeometricAtomFamily, ...],
+    ) -> DiscreteSignedMeasure:
+        """A measure with bounded support whose invariants the caller has already
+        decided (``moment_measure``, through ``atom_ratios``), built without
+        re-running ``_validate``."""
+        measure = object.__new__(cls)
+        measure._set(field, head_atoms, families, True)
+        return measure
+
     def _validate(self) -> None:
         """Check each distinct field and each distinct (name, ratio) once, in
         first-occurrence order, so the first failure raises as it would with
@@ -299,10 +313,9 @@ def _partial_sum(p: int, r: int, d: int, u: int, terms: int) -> _Triple:
 
 def _tail(weight: _Triple, p: int, r: int, d: int, u: int, terms: int) -> _Triple:
     """weight * |step|^(terms+1) / (1 - |step|) for step = (p + r*sqrt(u))/d,
-    where |step| = sign * step by the exact sign of p + r*sqrt(u)."""
+    where |step| = sign * step by the exact sign of p + r*sqrt(u); a zero step
+    (a weight ratio of 0) gives a zero triple."""
     sign = surd_sign(p, r, u)
-    if not sign:
-        return _ZERO
     p, r = sign * p, sign * r
     tp, tr = p, r
     for _ in range(terms):
@@ -367,7 +380,10 @@ def moment_measure(params: TwoPeriodicParams) -> DiscreteSignedMeasure:
     directly: if even = odd, the two families on -q^m cancel and the two on
     q^m merge into one of scale 2*half; otherwise each ratio's families come
     in the order (-q^m, q^m), the smaller ratio's first, as one comparison
-    of even against odd decides.  A zero ratio's families drop out.
+    of even against odd decides.  A zero ratio's families drop out.  Every
+    invariant the public constructor checks holds here by construction: the
+    head atom sits at 1, and ``atom_ratios`` has decided 0 < q < 1 and
+    |even|, |odd| < 1, all in one field.
     """
     ratios = atom_ratios(params)
     q, even, odd = ratios.location, ratios.even_weight, ratios.odd_weight
@@ -389,7 +405,7 @@ def moment_measure(params: TwoPeriodicParams) -> DiscreteSignedMeasure:
     families = tuple(
         GeometricAtomFamily(scale, ratio, q, sign) for ratio, sign, scale in keyed if ratio != 0
     )
-    return DiscreteSignedMeasure(fld, (head,), families)
+    return DiscreteSignedMeasure._prechecked(fld, (head,), families)
 
 
 def binet_measure() -> DiscreteSignedMeasure:

@@ -170,6 +170,8 @@ def test_generalized_fibonacci_initial_conditions(coeff):
 @example(F(1), 1)
 @example(F(7, 2), 29)
 @example(F(5, 7), 29)
+@example(F(16, 7), 40)
+@example(F(5, 1000003), 30)  # the jump's gcd with V^2 = 1000003^2
 def test_generalized_fibonacci_matches_three_term_recurrence(coeff, n_max):
     assert generalized_fibonacci(coeff, n_max) == fibonacci_by_three_term(coeff, n_max)
 
@@ -242,6 +244,10 @@ jump_fractions = st.builds(F, st.integers(1, 60), st.sampled_from(JUMP_DENOMINAT
 @example([F(7, 6), F(5, 9), F(1, 4)], F(0), 30)  # denominators sharing 2 and 3
 @example([F(5, 1000003), F(1000004, 1000003)], F(3, 2000006), 30)
 @example([F(1)], F(0), 5)
+# gcd(A_n, L_n) grows nearly as large as L_n, so rho_n's beta stays small
+@example([F(16, 7), F(7, 16)], F(15, 8), 58)
+@example([F(3), F(2)], F(2), 40)  # integer periods and w: beta_n = 1 throughout
+@example([F(5, 3), F(7, 2)], F(0), -1)  # w = 0, n_max below k
 @settings(max_examples=150, deadline=None)
 def test_truncations_match_the_period_map_oracle(periods, w, offset):
     n_max = max(0, len(periods) + offset)

@@ -154,6 +154,30 @@ def test_decimal_examples():
     assert (-golden).decimal(3) == "-0.618"
 
 
+@given(field_elements(), st.integers(min_value=1, max_value=30))
+def test_decimal_string_of_a_quadelem_is_its_decimal(elems, digits):
+    (x,) = elems
+    assert decimal_string(x, digits) == x.decimal(digits)
+
+
+class _ReflectedPower:
+    """An exponent that only ``**``'s reflected method can take."""
+
+    def __rpow__(self, base):
+        return "reflected"
+
+
+def test_quadelem_operators_leave_foreign_operands_to_python():
+    q = QuadField(5).element(F(1, 2), F(1, 2))
+    # each operator returns NotImplemented, so Python's own TypeError names both types
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'QuadElem' and 'str'"):
+        q + "x"
+    with pytest.raises(TypeError, match=r"for \*\* or pow\(\): 'QuadElem' and 'float'"):
+        q ** 0.5
+    assert q ** _ReflectedPower() == "reflected"
+    assert (q == "x") is False and (q != "x") is True
+
+
 def test_decimal_rounds_half_to_even_on_rationals():
     assert decimal_string(F(1, 8), 2) == "0.12"
     assert decimal_string(F(3, 8), 2) == "0.38"

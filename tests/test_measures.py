@@ -148,6 +148,16 @@ def test_moment_measure_is_the_canonical_closed_form(params):
     assert got == want
 
 
+@given(param_triples)
+@settings(max_examples=60, deadline=None)
+@with_examples(RATIO_EDGES)
+def test_moment_measure_passes_the_public_constructor(params):
+    got = moment_measure(params)
+    # the public constructor re-runs every check that moment_measure skips
+    want = DiscreteSignedMeasure(got.field, got.head_atoms, got.families, got.bounded_support)
+    assert got == want and repr(got) == repr(want) and got.bounded_support
+
+
 @pytest.mark.parametrize(
     "params, signs",
     [
@@ -363,6 +373,19 @@ def test_groups_whose_coefficients_cancel_still_bound_the_tail():
         value, bound = null.truncated_moment(n, 3)
         assert null.moment(n) == 0 and value == 0
         assert bound > 0 and bound == 2 * rho.truncated_moment(n, 3)[1]
+
+
+def test_a_family_of_weight_ratio_zero_adds_no_tail_bound():
+    rho = moment_measure(TwoPeriodicParams(2, 7, 1))
+    fld = rho.field
+    dead = GeometricAtomFamily(fld.element(3), fld.zero, rho.families[0].location_ratio)
+    padded = DiscreteSignedMeasure(fld, rho.head_atoms, rho.families + (dead,))
+    for n in (0, 1, 4):
+        for terms in (1, 3, 12):
+            got = padded.truncated_moment(n, terms)
+            assert got == rho.truncated_moment(n, terms) == truncated_by_families(padded, n, terms)
+    alone = DiscreteSignedMeasure(fld, (), (dead,))
+    assert alone.truncated_moment(0, 5) == (0, 0) and alone.moment(0) == 0
 
 
 def test_negative_order_is_rejected_before_terms():
