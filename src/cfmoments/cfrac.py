@@ -15,10 +15,11 @@ M_j = [[0, 1], [1, c_j]] and P_n = M_0 ... M_{n-1},
 
     N_n = P00*w + P01,  D_n = P10*w + P11,  s_n = N_n / D_n,
 
-so all n_max + 1 truncations come from one linear pass.  P_n is carried as
-an integer matrix over a running common denominator.  Past the first period
-(k terms) the truncations jump: P_{n+k} = P_k*P_n, so with Pi the integer
-multiple of P_k, s_{n+k} = (Pi00*x + Pi01*y)/(Pi10*x + Pi11*y) for s_n = x/y.
+so all n_max + 1 truncations come from one linear pass.  One walk over the
+first period (k terms) carries P_n as an integer matrix over a running common
+denominator; where it ends, that running product is Pi, the integer multiple of
+P_k.  Past it the truncations jump: P_{n+k} = P_k*P_n, so for s_n = x/y,
+s_{n+k} = (Pi00*x + Pi01*y)/(Pi10*x + Pi11*y).
 Pi's adjugate maps that pair back to det Pi * (x, y), so for coprime x, y its
 gcd g divides |det Pi|, the squared product of the periods' denominators: a gcd
 with that fixed integer, not with a growing one, reduces every value.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .exactnum import (
     DomainError,
@@ -134,52 +135,37 @@ def _scaled(x: int, alpha: int, beta: int) -> Fraction:
     return _coprime_fraction(alpha * (x // g), beta // g)
 
 
-def _period_map(
-    cycle: Sequence[Fraction], seed: Fraction, n_max: int
-) -> Iterator[Tuple[int, int, int]]:
-    """Integers (A_n, B_n, L_n) with N_n = A_n/L_n and D_n = B_n/L_n, n = 0..n_max.
-
-    Each M_j is scaled by the denominator v_j of c_j = u_j/v_j into the
-    integer matrix [[0, v_j], [v_j, u_j]], so the running product Q equals
-    (v_0 ... v_{n-1}) * P_n; with w = p/q, L_n = q * v_0 ... v_{n-1}.
-    """
-    steps = [(c.numerator, c.denominator) for c in cycle]
-    k = len(steps)
-    p, q = seed.numerator, seed.denominator
-    q00, q01, q10, q11 = 1, 0, 0, 1
-    scale = q
-    for n in range(n_max + 1):
-        num, den = q00 * p + q01 * q, q10 * p + q11 * q
-        if den <= 0:
-            raise InvariantError(f"denominator D_{n} = {Fraction(den, scale)} is not positive")
-        yield num, den, scale
-        u, v = steps[n % k]
-        q00, q01, q10, q11 = q01 * v, q00 * v + q01 * u, q11 * v, q10 * v + q11 * u
-        scale *= v
-
-
 def _truncations(cycle: Sequence[Fraction], seed: Fraction, n_max: int) -> List[Tuple[int, ...]]:
     """(x_n, y_n, g_n) for n = 0..n_max: s_n = x_n/y_n in lowest terms, y_n > 0, and
-    the gcd g_n divided out: t_n = gcd(A_n, B_n) of ``_period_map`` over the first
-    period, the jump's gcd past it, so t_n = g_n*t_{n-k}."""
+    the gcd g_n divided out, so that t_n = g_n*t_{n-k}.
+
+    Each M_j is scaled by the denominator v_j of c_j = u_j/v_j into the integer
+    matrix [[0, v_j], [v_j, u_j]], so the running product Q equals
+    (v_0 ... v_{n-1}) * P_n; with w = p/q, L_n = q * v_0 ... v_{n-1}, and the walk
+    reads A_n = Q00*p + Q01*q, B_n = Q10*p + Q11*q and g_n = t_n = gcd(A_n, B_n).
+    After k steps Q is Pi, which the jump uses.
+    """
     k = len(cycle)
+    p, q = seed.numerator, seed.denominator
+    q00, q01, q10, q11 = 1, 0, 0, 1
     rows = []
-    for num, den, _ in _period_map(cycle, seed, min(n_max, k - 1)):
+    for n, c in enumerate(cycle):
+        num, den = q00 * p + q01 * q, q10 * p + q11 * q
+        if den <= 0:
+            raise InvariantError(f"denominator of s_{n} = {num}/{den} is not positive")
         g = gcd(num, den)
         rows.append((num // g, den // g, g))
-    p00, p01, p10, p11 = 1, 0, 0, 1
-    for c in cycle:
         u, v = c.numerator, c.denominator
-        p00, p01, p10, p11 = p01 * v, p00 * v + p01 * u, p11 * v, p10 * v + p11 * u
-    det = abs(p00 * p11 - p01 * p10)
+        q00, q01, q10, q11 = q01 * v, q00 * v + q01 * u, q11 * v, q10 * v + q11 * u
+    det = abs(q00 * q11 - q01 * q10)
     for n in range(k, n_max + 1):
         x, y, _ = rows[n - k]
-        num, den = p00 * x + p01 * y, p10 * x + p11 * y
+        num, den = q00 * x + q01 * y, q10 * x + q11 * y
         if den <= 0:
             raise InvariantError(f"denominator of s_{n} = {num}/{den} is not positive")
         g = gcd(det, num, den)
         rows.append((num // g, den // g, g) if g > 1 else (num, den, 1))
-    return rows
+    return rows[: n_max + 1]
 
 
 def _scaled_rows(cycle: Sequence[Fraction], seed: Fraction, n_max: int) -> List[Tuple[int, ...]]:

@@ -106,18 +106,6 @@ def surd_sign(p: int, r: int, u: int) -> int:
     return sp if gap > 0 else sr
 
 
-def surd_norm(p: int, r: int, u: int) -> int:
-    """The norm p^2 - r^2*u of p + r*sqrt(u), for an element about to be
-    inverted: a zero element raises ZeroDivisionError, and a nonzero one of
-    norm 0 (u a perfect square with r != 0) raises InvariantError."""
-    norm = p * p - r * r * u
-    if norm == 0:
-        if p == 0 and r == 0:
-            raise ZeroDivisionError("inverse of zero quadratic element")
-        raise InvariantError("zero norm for a nonzero element; radicand failed to fold")
-    return norm
-
-
 _Triple = Tuple[int, int, int]
 
 
@@ -135,9 +123,14 @@ def _plus(x: _Triple, y: _Triple) -> _Triple:
 
 def _quotient(xp: int, xr: int, yp: int, yr: int, u: int) -> _Triple:
     """x/y = x*conj(y)/N(y) for x = xp + xr*sqrt(u) and y = yp + yr*sqrt(u),
-    as an unreduced triple whose D = |N(y)| > 0.  N(y) = 0 raises as
-    ``QuadElem.inverse`` does."""
-    norm = surd_norm(yp, yr, u)
+    as an unreduced triple whose D = |N(y)| > 0.  A zero y raises
+    ZeroDivisionError, and a nonzero y of norm 0 (u a perfect square with
+    yr != 0) raises InvariantError."""
+    norm = yp * yp - yr * yr * u
+    if norm == 0:
+        if yp == 0 and yr == 0:
+            raise ZeroDivisionError("inverse of zero quadratic element")
+        raise InvariantError("zero norm for a nonzero element; radicand failed to fold")
     p, r = xp * yp - xr * yr * u, xr * yp - xp * yr
     return (p, r, norm) if norm > 0 else (-p, -r, -norm)
 
@@ -326,11 +319,7 @@ class QuadElem:
 
     def inverse(self) -> QuadElem:
         """Multiplicative inverse via the conjugate: D/(P+R*sqrt(U)) = D*(P-R*sqrt(U))/(P^2-R^2*U)."""
-        p, r, d = self._p, self._r, self._d
-        norm = surd_norm(p, r, self.field._int_radicand)
-        if norm < 0:
-            norm, d = -norm, -d
-        return QuadElem(self.field, d * p, -d * r, norm, norm)
+        return _reduced(self.field, _quotient(self._d, 0, self._p, self._r, self.field._int_radicand))
 
     @_coerced
     def __truediv__(self, o: QuadElem) -> QuadElem:

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from hypothesis import example
 from hypothesis import strategies as st
 
-from cfmoments.cfrac import AtomRatios, TwoPeriodicParams, _period_map, kperiodic_convergents
+from cfmoments.cfrac import AtomRatios, TwoPeriodicParams, kperiodic_convergents
 from cfmoments.cli import build_parser, main
 from cfmoments.exactnum import (
     DomainError,
@@ -300,24 +300,23 @@ def kperiodic_bottom_up(
     periods: Sequence[Fraction], w: Fraction, n_max: int
 ) -> List[Fraction]:
     """s_n = (P00*w + P01) / (P10*w + P11) with P_n = M_0 ... M_{n-1} over Fractions."""
-    p00, p01, p10, p11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
-    values = []
-    for n in range(n_max + 1):
-        values.append((p00 * w + p01) / (p10 * w + p11))
-        c = Fraction(periods[n % len(periods)])
-        p00, p01, p10, p11 = p01, p00 + c * p01, p11, p10 + c * p11
-    return values
+    return [value for _, _, value in rows_by_period_map(periods, w, n_max)]
 
 
 def rows_by_period_map(
     periods: Sequence[Fraction], w: Fraction, n_max: int
 ) -> List[Tuple[Fraction, Fraction, Fraction]]:
-    """(N_n, D_n, s_n) for n = 0..n_max, one full Fraction gcd each, from every row
-    (A_n, B_n, L_n) of ``_period_map``: the library's path before the one-period jump."""
-    return [
-        (Fraction(num, scale), Fraction(den, scale), Fraction(num, den))
-        for num, den, scale in _period_map(periods, w, n_max)
-    ]
+    """(N_n, D_n, s_n) for n = 0..n_max from P_n = M_0 ... M_{n-1} over Fractions:
+    N_n = P00*w + P01, D_n = P10*w + P11 and s_n = N_n/D_n, every row with its own
+    gcds and no jump."""
+    p00, p01, p10, p11 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    rows = []
+    for n in range(n_max + 1):
+        num, den = p00 * w + p01, p10 * w + p11
+        rows.append((num, den, num / den))
+        c = Fraction(periods[n % len(periods)])
+        p00, p01, p10, p11 = p01, p00 + c * p01, p11, p10 + c * p11
+    return rows
 
 
 def convergents_by_two_step(

@@ -11,7 +11,6 @@ from cfmoments import cfrac
 from cfmoments.cfrac import (
     ParameterError,
     TwoPeriodicParams,
-    _period_map,
     _truncations,
     atom_ratios,
     convergents,
@@ -215,16 +214,17 @@ def test_kperiodic_long_run_matches_bottom_up_fractions():
         assert kperiodic_convergents(periods, w, 800) == kperiodic_bottom_up(periods, w, 800)
 
 
-def test_nonpositive_denominator_raises_invariant_error():
-    # unreachable through the validated entry points: a negative seed makes D_1 = -1
-    with pytest.raises(InvariantError, match="D_1 = -1 is not positive"):
-        list(_period_map([F(1)], F(-2), 1))
-
-
-def test_jump_nonpositive_denominator_raises_invariant_error():
-    # the same seed on [1]: s_0 = -2/1 jumps to s_1 = (0*-2 + 1*1)/(1*-2 + 1*1) = 1/-1
+@pytest.mark.parametrize(
+    "periods",
+    [[F(1), F(1)], [F(1)]],
+    ids=["first-period", "jump"],
+)
+def test_walk_and_jump_nonpositive_denominators_raise_invariant_error(periods):
+    # unreachable through the validated entry points: the negative seed -2 makes
+    # s_1 = (0*-2 + 1*1)/(1*-2 + 1*1) = 1/-1, read off the first period's walk on
+    # [1, 1] and off the one-period jump on [1]
     with pytest.raises(InvariantError, match="denominator of s_1 = 1/-1 is not positive"):
-        _truncations([F(1)], F(-2), 1)
+        _truncations(periods, F(-2), 1)
 
 
 # denominators drawn from one set share the primes 2, 3 and 1000003, or share

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import runpy
 import shlex
 import subprocess
 import sys
@@ -507,6 +508,24 @@ def test_importing_the_cli_loads_no_output_or_args_file_module():
         env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(["classify", "--a", "1", "--b", "1"], 0), (["bogus"], 2)],
+    ids=["classify", "bogus"],
+)
+def test_running_the_module_exits_with_what_main_returns(monkeypatch, capsys, argv, want):
+    # runs `sys.exit(main())` under `python -m cfmoments.cli`; an already
+    # imported module would make runpy warn that it runs it a second time
+    monkeypatch.setattr(sys, "argv", ["cfmoments", *argv])
+    expected = run(capsys, *argv)
+    assert expected[0] == want
+    monkeypatch.delitem(sys.modules, "cfmoments.cli")
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("cfmoments.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    assert (stop.value.code, captured.out, captured.err) == expected
 
 
 def test_a_classify_call_builds_only_its_own_fractions(monkeypatch, capsys):

@@ -231,8 +231,12 @@ def test_inverse_roundtrip(xs):
         with pytest.raises(ZeroDivisionError):
             x.inverse()
     else:
-        assert x * x.inverse() == 1
+        inv = x.inverse()
+        assert x * inv == inv * x == 1
         assert x / x == 1
+        p, r, d = inv.triple  # the one reduced triple of its value
+        assert d > 0 and gcd(d, p, r) == 1
+        assert r == 0 or not x.field.is_degenerate
 
 
 @given(field_elements(count=2))
@@ -390,17 +394,19 @@ def test_mixed_fields_fail_like_the_oracle(first, second):
 def test_zero_and_zero_norm_errors_match_the_oracle():
     fld, oracle = QuadField(5), PairField(5)
     for zero in (fld.zero, oracle.element(0)):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero quadratic element"):
             zero.inverse()
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero quadratic element"):
             1 / zero
     # a perfect-square radicand whose fold was skipped: 2 - 1*sqrt(4) is
     # nonzero as a pair yet has zero norm, which both must report
     unfolded, oracle_unfolded = QuadField(4), PairField(4)
     unfolded.root = oracle_unfolded.root = None
     for broken in (unfolded.element(2, -1), oracle_unfolded.element(2, -1)):
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="zero norm for a nonzero element"):
             broken.inverse()
+        with pytest.raises(InvariantError, match="zero norm for a nonzero element"):
+            1 / broken
         with pytest.raises(InvariantError):
             broken.sign()
 
